@@ -16,7 +16,6 @@ from .codes import (
     OracleBudgetError,
     build_code,
     enumerate_codewords,
-    hamming_distance_bound,
     min_rank_distance,
     rank_distance_bound,
     sampled_min_rank,
@@ -108,7 +107,6 @@ __all__ = [
     "gfq_rank",
     "gfq_rank_batch",
     "gfq_row_reduce",
-    "hamming_distance_bound",
     "interpolate",
     "lift",
     "local_candidates",

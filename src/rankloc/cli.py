@@ -56,7 +56,7 @@ def cmd_build(args) -> int:
     p = code.params
     f = code.field
     mod = " + ".join(
-        _poly_term(c, i) for i, c in reversed(list(enumerate(spec_modulus(code))))
+        _poly_term(c, i) for i, c in reversed(list(enumerate(f.spec.modulus)))
         if c
     )
     print(f"code=({p.m}x{p.n}, k={p.k}, r={p.r}, delta={p.delta}) over GF({p.q}^{p.m})")
@@ -64,16 +64,10 @@ def cmd_build(args) -> int:
     print(f"mu={p.mu} s={p.s}")
     print(f"d_bound={rank_distance_bound(p.n, p.k, p.r, p.delta)}")
     print(f"local=({p.s},{p.r}) MRD, local_distance={p.delta}")
-    points = code.tower.product_points()
     for j in range(1, p.mu + 1):
-        rack = points[(j - 1) * p.s : j * p.s]
-        print(f"rack_{j}=" + ",".join(f.format_element(a) for a in rack))
+        print(f"rack_{j}=" + ",".join(f.format_element(a) for a in code.rack_points(j)))
     print(f"fingerprint={spec.fingerprint()}")
     return 0
-
-
-def spec_modulus(code) -> tuple[int, ...]:
-    return code.field.spec.modulus
 
 
 def _poly_term(c: int, i: int) -> str:
@@ -160,12 +154,10 @@ def cmd_verify(args) -> int:
     print(f"d_bound={bound}")
 
     # good-polynomial constancy per rack (executable check, not assumed)
-    points = code.tower.product_points()
     qs_minus = p.q**p.s - 1
     rack_values = []
     for j in range(1, p.mu + 1):
-        rack = points[(j - 1) * p.s : j * p.s]
-        vals = {f.pow(a, qs_minus) for a in rack}
+        vals = {f.pow(a, qs_minus) for a in code.rack_points(j)}
         if len(vals) != 1:
             print(f"rack_{j}: good polynomial NOT constant")
             return 3

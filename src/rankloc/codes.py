@@ -85,11 +85,6 @@ def rank_distance_bound(n: int, k: int, r: int, delta: int) -> int:
     return n - k + 1 - ((-(-k // r)) - 1) * (delta - 1)
 
 
-def hamming_distance_bound(n: int, k: int, r: int, delta: int) -> int:
-    """Same ceiling-free arithmetic as the rank bound; locality caps both."""
-    return rank_distance_bound(n, k, r, delta)
-
-
 class _EvaluationCode:
     """Shared plumbing: evaluation points x q-exponents over one field."""
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LocalRankCode, CodeParams
-from .gf import Field, FieldSpec, field_make, tower_build
+from .codes import LocalRankCode, build_code
+from .gf import Field, FieldSpec, field_make
 
 SPEC_FORMAT_VERSION = "1"
 
@@ -129,13 +129,10 @@ class CodeSpec:
             basis_a = [f.parse_element(el) for el in self.basis_a]
         if self.basis_b is not None:
             basis_b = [f.parse_element(el) for el in self.basis_b]
-        s = self.r + self.delta - 1
-        tower = tower_build(
-            self.q, self.m, self.n, s, spec=field_spec,
-            basis_a=basis_a, basis_b=basis_b,
+        return build_code(
+            self.q, self.m, self.n, self.k, self.r, self.delta,
+            spec=field_spec, basis_a=basis_a, basis_b=basis_b,
         )
-        params = CodeParams(self.q, self.m, self.n, self.k, self.r, self.delta)
-        return LocalRankCode(params, tower)
 
 
 def load_code_spec(path: str) -> CodeSpec:

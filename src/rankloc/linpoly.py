@@ -163,7 +163,6 @@ def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> L
             mat[row][col] = acc
     rhs = list(vals)
 
-    perm = list(range(n))
     for col in range(n):
         piv = next((r for r in range(col, n) if mat[r][col]), None)
         if piv is None:
@@ -180,7 +179,6 @@ def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> L
                 rhs[r] = f.sub(rhs[r], f.mul(fac, rhs[col]))
         mat[col] = [f.mul(pinv, v) for v in mat[col]]
         rhs[col] = f.mul(pinv, rhs[col])
-    del perm
     return LinearizedPoly(field, {i: rhs[i] for i in range(n)})
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import DEFAULT_ORACLE_BUDGET, LocalRankCode
-from .gf import base_tables, gfq_matmul, gfq_rank, gfq_rank_batch
+from .gf import base_tables, gfq_matmul, gfq_rank
 from .rng import SplitMix64
-from .subspace import rcef
+from .subspace import lift_batch, rcef, subspace_distance_batch
 
 _MAX_REJECTIONS = 10_000
 
@@ -51,17 +51,17 @@ class ChannelConfig:
 
 
 def transmit_matrix(code: LocalRankCode, codeword: np.ndarray, j: int) -> np.ndarray:
-    """Stack rack j's packets: row i = [unit vector of global column | column]."""
+    """Stack rack j's packets: row i = [unit vector of global column | column].
+
+    The packets are the columns of the rack's lifted basis, one per row.
+    """
     p = code.params
     codeword = np.asarray(codeword, dtype=np.uint8)
     if codeword.shape != (p.m, p.n):
         raise ValueError("codeword shape mismatch")
     cols = code.rack_columns(j)
-    x = np.zeros((p.s, p.n + p.m), dtype=np.uint8)
-    for i, c in enumerate(range(cols.start, cols.stop)):
-        x[i, c] = 1
-        x[i, p.n :] = codeword[:, c]
-    return x
+    block = codeword[None, :, cols.start : cols.stop]
+    return lift_batch(block, p.n, cols)[0].T
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,8 @@ def local_candidates(
     Returns (bases, mats): bases[i] is the (n+m) x s basis whose columns
     are the packets for local codeword mats[i].
     """
-    p = code.params
     mats = code.local_code(j).codeword_matrices(budget)
-    cols = code.rack_columns(j)
-    eye = np.eye(p.n, dtype=np.uint8)[:, cols.start : cols.stop]
-    id_block = np.broadcast_to(eye, (len(mats), p.n, p.s))
-    return np.concatenate([id_block, mats], axis=1), mats
+    return lift_batch(mats, code.params.n, code.rack_columns(j)), mats
 
 
 @dataclass(frozen=True)
@@ -149,14 +145,8 @@ def decode_subspace_min(
     are computed batch-wise from the ranks of stacked bases.  A shared
     minimum is a tie, which callers count as failure.
     """
-    count, ambient, dim = bases.shape
     y_basis = rcef(np.ascontiguousarray(np.asarray(received, dtype=np.uint8).T), q)
-    y_dim = y_basis.shape[1]
-    stacked = np.empty((count, dim + y_dim, ambient), dtype=np.uint8)
-    stacked[:, :dim] = bases.transpose(0, 2, 1)
-    stacked[:, dim:] = np.broadcast_to(y_basis.T, (count, y_dim, ambient))
-    ranks = gfq_rank_batch(stacked, q)
-    dists = 2 * ranks.astype(int) - dim - y_dim
+    dists = subspace_distance_batch(bases, y_basis, q)
     best = int(dists.argmin())
     dmin = int(dists[best])
     ties = int((dists == dmin).sum())

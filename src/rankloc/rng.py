@@ -51,9 +51,6 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def randints(self, n: int, count: int) -> list[int]:
-        return [self.randbelow(n) for _ in range(count)]
-
     def sample_indices(self, population: int, count: int) -> list[int]:
         """``count`` distinct indices from range(population), ascending."""
         if count > population:

@@ -15,7 +15,7 @@ code, and the two are compared rather than merged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +86,38 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     return 2 * gfq_rank(np.ascontiguousarray(joint.T), u.q) - u.dim - v.dim
 
 
+def subspace_distance_batch(left: np.ndarray, right: np.ndarray, q: int = 2) -> np.ndarray:
+    """Subspace distances 2 rank([L | R]) - dim L - dim R over a batch.
+
+    ``left`` is a (B, M, a) stack of column bases; ``right`` is either a
+    matched (B, M, b) stack or one (M, b) basis shared by every entry.
+    Columns of each basis must be independent, so its width is its
+    dimension.  All B stacked pairs are ranked in one batch call.
+    """
+    count, ambient, a = left.shape
+    if right.shape[-2] != ambient:
+        raise ValueError("ambient dimension mismatch")
+    b = right.shape[-1]
+    stacked = np.empty((count, a + b, ambient), dtype=np.uint8)
+    stacked[:, :a] = left.transpose(0, 2, 1)
+    stacked[:, a:] = np.swapaxes(right, -1, -2)
+    return 2 * gfq_rank_batch(stacked, q).astype(np.int64) - a - b
+
+
+def lift_batch(mats: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
+    """(B, m, w) codeword blocks -> (B, n+m, w) lifted bases.
+
+    Column i of every block gets unit vector cols[i] of GF(q)^n on top: a
+    whole codeword passes range(n), a column block its global columns.
+    """
+    mats = np.asarray(mats, dtype=np.uint8)
+    count, m, width = mats.shape
+    bases = np.zeros((count, n + m, width), dtype=np.uint8)
+    bases[:, list(cols), range(width)] = 1
+    bases[:, n:] = mats
+    return bases
+
+
 def lift(mat: np.ndarray, q: int = 2) -> Subspace:
     """The n-dimensional subspace of GF(q)^(m+n) spanned by [I; X] columns.
 
@@ -95,16 +127,9 @@ def lift(mat: np.ndarray, q: int = 2) -> Subspace:
     """
     mat = np.asarray(mat, dtype=np.uint8)
     m, n = mat.shape
-    basis = np.vstack([np.eye(n, dtype=np.uint8), mat])
+    basis = lift_batch(mat[None], n, range(n))[0]
     basis.setflags(write=False)
     return Subspace(q=q, basis=basis)
-
-
-def _lift_batch(mats: np.ndarray) -> np.ndarray:
-    """(B, m, n) codeword arrays -> (B, m+n, n) lifted bases."""
-    b, m, n = mats.shape
-    eye = np.broadcast_to(np.eye(n, dtype=np.uint8), (b, n, n))
-    return np.concatenate([eye, mats], axis=1)
 
 
 @dataclass(frozen=True)
@@ -131,13 +156,24 @@ class LiftedCode:
 
     def bases(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
         """All lifted bases as a (B, m+n, n) array, gated by the budget."""
-        return _lift_batch(self.source.codeword_matrices(budget))
+        n = self.source.n
+        return lift_batch(self.source.codeword_matrices(budget), n, range(n))
 
     def subspaces(self, budget: int = DEFAULT_ORACLE_BUDGET) -> Iterator[Subspace]:
         for word in self.bases(budget):
             word = word.copy()
             word.setflags(write=False)
             yield Subspace(q=self.q, basis=word)
+
+
+def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` index pairs i != j from range(count), drawing i then j each."""
+    drawn = np.empty((2, pairs), dtype=np.int64)
+    for t in range(pairs):
+        i = rng.randbelow(count)
+        j = rng.randbelow(count - 1)
+        drawn[:, t] = i, j + (j >= i)
+    return drawn[0], drawn[1]
 
 
 def _pairwise_min_distance(
@@ -148,26 +184,14 @@ def _pairwise_min_distance(
     Exhaustive when sample_pairs is None, otherwise over sampled pairs
     (an upper bound on the true minimum).
     """
-    count, _, dim = bases.shape
+    count = len(bases)
     if count < 2:
         raise ValueError("degenerate")
     if sample_pairs is None:
-        pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        i, j = np.triu_indices(count, 1)
     else:
-        rng = SplitMix64(seed)
-        pairs = []
-        for _ in range(sample_pairs):
-            i = rng.randbelow(count)
-            j = rng.randbelow(count - 1)
-            if j >= i:
-                j += 1
-            pairs.append((i, j))
-    stacked = np.empty((len(pairs), 2 * dim, bases.shape[1]), dtype=np.uint8)
-    for t, (i, j) in enumerate(pairs):
-        stacked[t, :dim] = bases[i].T
-        stacked[t, dim:] = bases[j].T
-    ranks = gfq_rank_batch(stacked, q)
-    return int(2 * ranks.min() - 2 * dim)
+        i, j = _sample_pairs(SplitMix64(seed), count, sample_pairs)
+    return int(subspace_distance_batch(bases[i], bases[j], q).min())
 
 
 def min_subspace_distance(
@@ -188,14 +212,10 @@ def min_subspace_distance(
     primary = 2 * min_rank_distance(lifted.source, budget)
 
     mats = lifted.source.codeword_matrices(budget)
-    bases = _lift_batch(mats)
-    rng = SplitMix64(seed)
+    n = lifted.codeword_dim
+    bases = lift_batch(mats, n, range(n))
     t = base_tables(lifted.q)
-    for _ in range(cross_check_pairs):
-        i = rng.randbelow(len(bases))
-        j = rng.randbelow(len(bases) - 1)
-        if j >= i:
-            j += 1
+    for i, j in zip(*_sample_pairs(SplitMix64(seed), len(bases), cross_check_pairs)):
         ds = subspace_distance(
             Subspace(q=lifted.q, basis=bases[i]), Subspace(q=lifted.q, basis=bases[j])
         )
@@ -204,14 +224,7 @@ def min_subspace_distance(
             raise RuntimeError("distance cross-check failed")
     # zero is a codeword of any linear source, so distances from it alone
     # already reach the code minimum
-    dim = lifted.codeword_dim
-    stacked = np.empty((len(bases) - 1, 2 * dim, lifted.ambient), dtype=np.uint8)
-    zero_t = bases[0].T
-    for t_idx in range(1, len(bases)):
-        stacked[t_idx - 1, :dim] = zero_t
-        stacked[t_idx - 1, dim:] = bases[t_idx].T
-    ranks = gfq_rank_batch(stacked, lifted.q)
-    from_zero = int(2 * ranks.min() - 2 * dim)
+    from_zero = int(subspace_distance_batch(bases[1:], bases[0], lifted.q).min())
     if from_zero != primary:
         raise RuntimeError("distance cross-check failed")
     return primary
@@ -284,7 +297,6 @@ def verify_subspace_locality(
     if not isinstance(src, LocalRankCode):
         raise TypeError("locality verification needs a column-block local code")
     p = src.params
-    eye = np.eye(p.n, dtype=np.uint8)
     blocks = []
     for j in range(1, p.mu + 1):
         cols = src.rack_columns(j)
@@ -307,10 +319,7 @@ def verify_subspace_locality(
             enumerated = False
         # projection of a lifted basis onto the block: partial identity on
         # top of the block's local codeword
-        id_block = np.broadcast_to(
-            eye[:, cols.start : cols.stop], (len(local_mats), p.n, width)
-        )
-        local_bases = np.concatenate([id_block, local_mats], axis=1)
+        local_bases = lift_batch(local_mats, p.n, cols)
         dims = gfq_rank_batch(
             np.ascontiguousarray(local_bases.transpose(0, 2, 1)), p.q
         )

@@ -183,10 +183,18 @@ def test_verify_reference_sampled(ws, capsys):
         "--samples", "300", "--seed", "1",
     )
     assert code == 0
-    assert "good_poly_per_rack=1,w^119,w^238" in out
-    last = out.strip().splitlines()[-1]
-    assert last.startswith("d<=") and "(sampled)" in last
-    assert "subspace-locality (2,4): PASS (sampled)" in last
+    # whole stdout pinned: the sampled distance and locality scans are
+    # seeded, so every observed minimum is reproducible
+    assert out == (
+        "d_bound=5\n"
+        "good_poly_per_rack=1,w^119,w^238\n"
+        "samples=300 (observed minima, not exhaustive)\n"
+        "block_1: size_ok=True dim_ok=True projected_d=4 required=4 exact=False\n"
+        "block_2: size_ok=True dim_ok=True projected_d=4 required=4 exact=False\n"
+        "block_3: size_ok=True dim_ok=True projected_d=4 required=4 exact=False\n"
+        "d<=6 (sampled), local d=2 (sampled), lifted d_S<=12,"
+        " subspace-locality (2,4): PASS (sampled)\n"
+    )
 
 
 def test_verify_reference_exact_overruns_budget(ws, capsys):

@@ -10,7 +10,6 @@ from rankloc.codes import (
     OracleBudgetError,
     build_code,
     enumerate_codewords,
-    hamming_distance_bound,
     min_rank_distance,
     rank_distance_bound,
     sampled_min_rank,
@@ -56,7 +55,6 @@ def test_distance_bound_values():
     assert rank_distance_bound(6, 2, 1, 2) == 4
     assert rank_distance_bound(9, 4, 4, 2) == 6  # single block: plain Singleton
     assert rank_distance_bound(12, 6, 2, 3) == 3
-    assert hamming_distance_bound(9, 4, 2, 2) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from rankloc.netsim import (
     transmit_matrix,
 )
 from rankloc.rng import SplitMix64, mix64
-from rankloc.subspace import Subspace, subspace_distance
+from rankloc.subspace import Subspace, rcef, subspace_distance, subspace_distance_batch
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,10 @@ def test_transmit_matrix_structure(tiny_code):
     assert x[0, :6].tolist() == [0, 0, 1, 0, 0, 0]
     assert x[1, :6].tolist() == [0, 0, 0, 1, 0, 0]
     assert (x[0, 6:] == cw[:, 2]).all() and (x[1, 6:] == cw[:, 3]).all()
+    # the packets are the columns of the rack's lifted candidate basis
+    bases, mats = local_candidates(code, 2)
+    (sent,) = [i for i in range(len(mats)) if (mats[i] == cw[:, 2:4]).all()]
+    assert (x.T == bases[sent]).all()
     with pytest.raises(ValueError, match="shape"):
         transmit_matrix(code, cw[:3], 2)
 
@@ -155,6 +159,29 @@ def test_decode_noiseless_roundtrip(tiny_code):
     res = decode_subspace_min(bases, mats, out.received)
     assert not res.is_tie and res.distance == 0
     assert (res.local_matrix == cw[:, 2:4]).all()
+
+
+def test_decode_distances_match_pairwise_oracle(tiny_code):
+    # one shared received basis against every candidate, including
+    # rank-deficient received spaces (rho = 1) and injected errors
+    code = tiny_code
+    cw = code.encode_matrix([code.field.omega_pow(13), code.field.omega_pow(44)])
+    x = transmit_matrix(code, cw, 2)
+    bases, mats = local_candidates(code, 2)
+    cfg = ChannelConfig(packets_per_rack=2, n_collect=3, rho_max=1, t_max=1, links=4, seed=3)
+    rng = SplitMix64(17)
+    dims = set()
+    for _ in range(12):
+        out = channel_apply(x, cfg, rng)
+        y_basis = rcef(out.received.T)
+        dims.add(y_basis.shape[1])
+        y = Subspace(q=2, basis=y_basis)
+        expected = [subspace_distance(Subspace(q=2, basis=b), y) for b in bases]
+        assert subspace_distance_batch(bases, y_basis, 2).tolist() == expected
+        res = decode_subspace_min(bases, mats, out.received)
+        assert res.distance == min(expected)
+        assert res.is_tie == (expected.count(min(expected)) > 1)
+    assert 1 in dims and len(dims) > 1  # a rank-deficient space was checked
 
 
 def test_run_trials_within_guarantee(tiny_code):

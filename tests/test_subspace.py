@@ -9,9 +9,11 @@ from rankloc.subspace import (
     LiftedCode,
     Subspace,
     lift,
+    lift_batch,
     min_subspace_distance,
     rcef,
     subspace_distance,
+    subspace_distance_batch,
     verify_subspace_locality,
 )
 
@@ -112,16 +114,26 @@ def test_lift_is_injective(tiny_code):
 
 
 def test_lift_doubles_rank_distance(tiny_code):
-    # pairwise: the lifted distance is exactly twice the rank distance
+    # pairwise: the lifted distance is exactly twice the rank distance, and
+    # the batched scan over the same matched pairs agrees pair by pair
     mats = tiny_code.codeword_matrices()
     t = base_tables(2)
     rng = SplitMix64(521)
+    left, right, expected = [], [], []
     for _ in range(1000):
         i = rng.randbelow(mats.shape[0])
         j = rng.randbelow(mats.shape[0])
         ds = subspace_distance(lift(mats[i]), lift(mats[j]))
         dr = gfq_rank(t.sub[mats[i], mats[j]], 2)
         assert ds == 2 * dr
+        left.append(i)
+        right.append(j)
+        expected.append(ds)
+    bases = LiftedCode(tiny_code).bases()
+    got = subspace_distance_batch(bases[left], bases[right], 2)
+    assert got.tolist() == expected
+    with pytest.raises(ValueError, match="ambient"):
+        subspace_distance_batch(bases[:2], np.zeros((13, 1), np.uint8), 2)
 
 
 def test_lifted_code_enumeration(tiny_code):
@@ -131,6 +143,11 @@ def test_lifted_code_enumeration(tiny_code):
     assert lifted.codeword_count == 4096
     bases = lifted.bases()
     assert bases.shape == (4096, 12, 6)
+    mats = tiny_code.codeword_matrices()
+    assert (lift_batch(mats, 6, range(6)) == bases).all()
+    for i in range(0, 4096, 97):
+        assert (bases[i] == lift(mats[i]).basis).all()
+        assert (bases[i] == np.vstack([np.eye(6, dtype=np.uint8), mats[i]])).all()
     subs = lifted.subspaces()
     assert len({s.basis.tobytes() for s in subs}) == 4096
 
@@ -188,6 +205,8 @@ def test_locality_sampled_mode(example2_code):
     for b in report.blocks:
         assert b.size_ok and b.dim_ok
         assert b.projected_distance >= b.required_distance
+    # seeded sample: block 1's observed minimum stays above the true 4
+    assert [b.projected_distance for b in report.blocks] == [6, 4, 4]
 
 
 def test_locality_rejects_plain_codes(tiny_code):
