@@ -37,7 +37,6 @@ from .gf import (
     Field,
     FieldSpec,
     FieldTower,
-    field_make,
     gfq_matmul,
     gfq_rank,
     gfq_rank_batch,
@@ -101,7 +100,6 @@ __all__ = [
     "decode_min_distance",
     "decode_subspace_min",
     "enumerate_codewords",
-    "field_make",
     "get_backend",
     "gfq_matmul",
     "gfq_rank",

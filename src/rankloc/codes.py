@@ -172,10 +172,15 @@ class _EvaluationCode:
         return out
 
     def codeword_matrices(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
-        """All codewords as a (q^(mk), m, n) uint8 array (cached)."""
+        """All codewords as a (q^(mk), m, n) uint8 array (cached).
+
+        The budget is checked on every call, so a cache filled under a
+        larger budget never answers a smaller one.
+        """
+        if self.codeword_count > budget:
+            raise OracleBudgetError("oracle scale exceeded")
         if self._cw_mats is None:
-            msgs = self.message_codes(budget)
-            codes = self.encode_batch(msgs)
+            codes = self.encode_batch(self.message_codes(budget))
             self._cw_mats = self.field.matrix_batch(codes)
         return self._cw_mats
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import LocalRankCode, build_code
-from .gf import Field, FieldSpec, field_make
+from .gf import Field, FieldSpec
 
 SPEC_FORMAT_VERSION = "1"
 
@@ -117,13 +117,13 @@ class CodeSpec:
             # prefer w^k reporting; fall back when x is not primitive
             field_spec = FieldSpec(self.q, self.m, self.modulus, 1)
             try:
-                f = field_make(field_spec)
+                f = Field(field_spec)
             except ValueError:
                 field_spec = FieldSpec(self.q, self.m, self.modulus)
-                f = field_make(field_spec)
+                f = Field(field_spec)
         else:
             field_spec = FieldSpec.default(self.q, self.m)
-            f = field_make(field_spec)
+            f = Field(field_spec)
         basis_a = basis_b = None
         if self.basis_a is not None:
             basis_a = [f.parse_element(el) for el in self.basis_a]

@@ -9,6 +9,10 @@ Small fields (order <= 65536) get discrete log/antilog tables, so multiply,
 invert, power and Frobenius are O(1) lookups.  Larger fields fall back to
 schoolbook polynomial arithmetic; they stay exact, just slower.
 
+The GF(q) tables the kernels run on (``base_tables``) are modular for prime
+q; for q = p^e they are read off the ``Field`` GF(p^e) on the first
+irreducible polynomial that ``_search_modulus`` finds.
+
 ``FieldTower`` holds the layered structure used by the locality
 construction: a subfield GF(q^s) inside GF(q^n) inside the ambient field,
 with one basis for GF(q^s) over GF(q) and one for GF(q^n) over GF(q^s).
@@ -51,34 +55,6 @@ _BINARY_MODULI = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, e) with q = p**e, p prime."""
-    if q < 2:
-        raise ValueError("q must be a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                e += 1
-            if v != 1 or not _is_prime(p):
-                raise ValueError("q must be a prime power")
-            return p, e
-    raise ValueError("q must be a prime power")
-
-
 def _factorize(n: int) -> dict[int, int]:
     if n > _FACTOR_LIMIT:
         raise ValueError("factorization beyond 2**32 not supported")
@@ -91,6 +67,24 @@ def _factorize(n: int) -> dict[int, int]:
         d += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """Split q into (p, e) with q = p**e, p prime."""
+    factors = _factorize(q) if q >= 2 else {}
+    if len(factors) != 1:
+        raise ValueError("q must be a prime power")
+    ((p, e),) = factors.items()
+    return p, e
+
+
+def _digits(v: int, base: int, count: int) -> list[int]:
+    """The ``count`` lowest base-``base`` digits of v, least significant first."""
+    out = []
+    for _ in range(count):
+        v, d = divmod(v, base)
+        out.append(d)
     return out
 
 
@@ -122,19 +116,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], t: GFTables) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_mod(a: Sequence[int], mod: Sequence[int], t: GFTables) -> list[int]:
-    out = list(a)
-    dm = len(mod) - 1
-    lead_inv = int(t.inv[mod[-1]])
-    for i in range(len(out) - 1, dm - 1, -1):
-        c = out[i]
-        if c:
-            f = int(t.mul[c, lead_inv])
-            for j, mj in enumerate(mod):
-                out[i - dm + j] = int(t.sub[out[i - dm + j], t.mul[f, mj]])
-    return _poly_trim(out)
-
-
 def _poly_divmod(a, b, t: GFTables):
     rem = list(a)
     db = len(b) - 1
@@ -159,13 +140,7 @@ def _poly_is_irreducible(mod: Sequence[int], t: GFTables) -> bool:
         return True
     for d in range(1, deg // 2 + 1):
         for idx in range(t.q**d):
-            div = []
-            v = idx
-            for _ in range(d):
-                div.append(v % t.q)
-                v //= t.q
-            div.append(1)
-            _, rem = _poly_divmod(mod, div, t)
+            _, rem = _poly_divmod(mod, _digits(idx, t.q, d) + [1], t)
             if not rem:
                 return False
     return True
@@ -177,64 +152,27 @@ def base_tables(q: int) -> GFTables:
 
     Prime q uses modular arithmetic; prime powers q = p^e build GF(p^e)
     from the first irreducible monic polynomial of degree e over GF(p)
-    (lowest packed coefficient value, so the choice is reproducible).
+    (lowest packed coefficient value, so the choice is reproducible) and
+    read the tables off that field's vectorized add and multiply.
     """
     if q < 2 or q > 256:
         raise ValueError("q must be a prime power with 2 <= q <= 256")
     p, e = _prime_power(q)
+    idx = np.arange(q, dtype=np.int64)
     if e == 1:
-        idx = np.arange(q, dtype=np.int64)
-        add = ((idx[:, None] + idx[None, :]) % q).astype(np.uint8)
-        sub = ((idx[:, None] - idx[None, :]) % q).astype(np.uint8)
-        mul = ((idx[:, None] * idx[None, :]) % q).astype(np.uint8)
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            inv[a] = pow(a, q - 2, q)
-        return GFTables(q, add, sub, mul, inv)
-
-    base = base_tables(p)
-
-    def digits(v: int) -> list[int]:
-        out = []
-        for _ in range(e):
-            out.append(v % p)
-            v //= p
-        return out
-
-    def pack(c: Sequence[int]) -> int:
-        v = 0
-        for d in reversed(list(c)):
-            v = v * p + d
-        return v
-
-    modulus = None
-    for idx in range(p**e):
-        cand = digits(idx) + [1]
-        if _poly_is_irreducible(cand, base):
-            modulus = cand
-            break
-    assert modulus is not None
-
-    add = np.zeros((q, q), dtype=np.uint8)
-    sub = np.zeros((q, q), dtype=np.uint8)
-    mul = np.zeros((q, q), dtype=np.uint8)
-    for a in range(q):
-        da = digits(a)
-        for b in range(q):
-            db = digits(b)
-            add[a, b] = pack(int(base.add[x, y]) for x, y in zip(da, db))
-            sub[a, b] = pack(int(base.sub[x, y]) for x, y in zip(da, db))
-            mul[a, b] = pack(
-                _poly_mod(_poly_mul(_poly_trim(list(da)), _poly_trim(list(db)), base), modulus, base)
-                + [0] * e
-            )
-    inv = np.zeros(q, dtype=np.uint8)
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul[a, b] == 1:
-                inv[a] = b
-                break
-    return GFTables(q, add, sub, mul, inv)
+        add = (idx[:, None] + idx[None, :]) % q
+        mul = (idx[:, None] * idx[None, :]) % q
+    else:
+        f = Field(FieldSpec(p, e, _search_modulus(p, e, primitive=False)))
+        add = f.add_vec(idx[:, None], idx[None, :])
+        mul = f.mul_vec(idx[:, None], idx[None, :])
+    # row a of add is a permutation taking b to a + b, so its inverse
+    # permutation takes c to c - a
+    sub = np.argsort(add, axis=1).T
+    inv = np.argmax(mul == 1, axis=1)  # inv[0] stays 0
+    return GFTables(
+        q, *(np.ascontiguousarray(a, dtype=np.uint8) for a in (add, sub, mul, inv))
+    )
 
 
 @dataclass(frozen=True)
@@ -267,18 +205,13 @@ def _search_modulus(q: int, m: int, *, primitive: bool) -> tuple[int, ...]:
     """First monic irreducible (primitive, if asked) polynomial of degree m."""
     t = base_tables(q)
     for idx in range(q**m):
-        lo = []
-        v = idx
-        for _ in range(m):
-            lo.append(v % q)
-            v //= q
-        cand = tuple(lo) + (1,)
+        cand = tuple(_digits(idx, q, m)) + (1,)
         if not _poly_is_irreducible(cand, t):
             continue
         if not primitive:
             return cand
         f = Field(FieldSpec(q, m, cand, None))
-        if f.element_order(f.x) == f.order - 1:
+        if f._is_primitive(f.x):
             return cand
     raise ValueError("no irreducible polynomial found")
 
@@ -303,7 +236,8 @@ class Field:
         self.order = q**m
         self.zero = 0
         self.one = 1
-        self.x = q if m > 1 else self._embed_reduced([0, 1])
+        # x itself, reduced modulo x + c_0 when m = 1
+        self.x = q if m > 1 else int(self.tables.sub[0, spec.modulus[0]])
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self.omega: int | None = None
@@ -311,7 +245,7 @@ class Field:
             self._build_log_tables()
         if spec.primitive_power_of_generator is not None:
             w = self.pow(self.x, spec.primitive_power_of_generator)
-            if self.element_order(w) != self.order - 1:
+            if not self._is_primitive(w):
                 raise ValueError("generator power is not primitive")
             self.omega = w
             if self._log is not None and self._log[w] != 1:
@@ -320,11 +254,7 @@ class Field:
     # -- representation ----------------------------------------------------
 
     def digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.q)
-            a //= self.q
-        return out
+        return _digits(a, self.q, self.m)
 
     def from_digits(self, c: Iterable[int]) -> int:
         v = 0
@@ -346,10 +276,6 @@ class Field:
         if not 0 <= a < self.order:
             raise ValueError("element out of range")
         return a
-
-    def _embed_reduced(self, poly: Sequence[int]) -> int:
-        red = _poly_mod(list(poly), list(self.spec.modulus), self.tables)
-        return self.from_digits(red + [0] * (self.m - len(red)))
 
     # -- core arithmetic ----------------------------------------------------
 
@@ -386,8 +312,8 @@ class Field:
                     a ^= mod_mask
             return acc
         prod = _poly_mul(_poly_trim(self.digits(a)), _poly_trim(self.digits(b)), self.tables)
-        red = _poly_mod(prod, list(self.spec.modulus), self.tables)
-        return self.from_digits(red + [0] * (self.m - len(red)))
+        _, red = _poly_divmod(prod, self.spec.modulus, self.tables)
+        return self.from_digits(red)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -436,13 +362,8 @@ class Field:
     def _build_log_tables(self, base: int | None = None) -> None:
         if base is None:
             base = self.x
-            if self.element_order(base) != self.order - 1:
-                base = None
-                for cand in range(2, self.order):
-                    if self.element_order(cand) == self.order - 1:
-                        base = cand
-                        break
-            assert base is not None
+            if not self._is_primitive(base):
+                base = next(c for c in range(1, self.order) if self._is_primitive(c))
         exp = np.zeros(self.order - 1, dtype=np.int64)
         log = np.full(self.order, -1, dtype=np.int64)
         v = 1
@@ -463,6 +384,10 @@ class Field:
             while order % p == 0 and self.pow(a, order // p) == 1:
                 order //= p
         return order
+
+    def _is_primitive(self, a: int) -> bool:
+        """Whether a generates the multiplicative group; zero never does."""
+        return a != 0 and self.element_order(a) == self.order - 1
 
     # -- reporting ----------------------------------------------------------
 
@@ -546,13 +471,6 @@ class Field:
             scale *= self.q
         return out
 
-    def frobenius_vec(self, a: np.ndarray, e: int = 1) -> np.ndarray:
-        self._need_tables()
-        a = np.asarray(a, dtype=np.int64)
-        mult = pow(self.q, e, self.order - 1)
-        out = self._exp[(self._log[a] * mult) % (self.order - 1)]
-        return np.where(a == 0, 0, out)
-
     # -- matrix form ---------------------------------------------------------
 
     def to_matrix(self, elements: Sequence[int]) -> np.ndarray:
@@ -588,10 +506,6 @@ class Field:
             out[:, i, :] = (work % self.q).astype(np.uint8)
             work //= self.q
         return out
-
-
-def field_make(spec: FieldSpec) -> Field:
-    return Field(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +603,8 @@ def tower_build(
 
     Defaults: g = w^((q^m-1)/(q^s-1)); basis_a = (g^0, ..., g^(s-1));
     basis_b = powers (gamma^0, ..., gamma^(mu-1)) of the first power of w
-    lying in GF(q^n) whose powers pass the product rank-n check.
+    lying in GF(q^n), starting from w^0 = 1, whose powers pass the product
+    rank-n check (gamma = 1 passes only when mu = 1).
     Explicit overrides are validated against the same invariants.
     """
     if n % s != 0 or m % n != 0:
@@ -726,7 +641,7 @@ def tower_build(
         # gamma must lie in GF(q^n): its exponent is a multiple of step.
         step = (field.order - 1) // (q**n - 1)
         found = None
-        for e in range(step, field.order - 1, step):
+        for e in range(0, field.order - 1, step):
             gamma = field.omega_pow(e)
             cand = tuple(field.pow(gamma, j) for j in range(mu))
             if product_rank(cand) == n:

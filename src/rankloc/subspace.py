@@ -177,21 +177,28 @@ def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, 
 
 
 def _pairwise_min_distance(
-    bases: np.ndarray, q: int, sample_pairs: int | None, seed: int
+    mats: np.ndarray,
+    n: int,
+    cols: Sequence[int],
+    q: int,
+    sample_pairs: int | None,
+    seed: int,
 ) -> int:
-    """Minimum pairwise subspace distance of equal-dimension bases.
+    """Minimum pairwise subspace distance of the lifted (B, m, w) blocks.
 
     Exhaustive when sample_pairs is None, otherwise over sampled pairs
-    (an upper bound on the true minimum).
+    (an upper bound on the true minimum); only the compared blocks are
+    lifted (see ``lift_batch``).
     """
-    count = len(bases)
+    count = len(mats)
     if count < 2:
         raise ValueError("degenerate")
     if sample_pairs is None:
         i, j = np.triu_indices(count, 1)
     else:
         i, j = _sample_pairs(SplitMix64(seed), count, sample_pairs)
-    return int(subspace_distance_batch(bases[i], bases[j], q).min())
+    left, right = (lift_batch(mats[idx], n, cols) for idx in (i, j))
+    return int(subspace_distance_batch(left, right, q).min())
 
 
 def min_subspace_distance(
@@ -286,10 +293,10 @@ def verify_subspace_locality(
     """Check that lifting kept the source's locality, block by block.
 
     For each column block of the source code the report verifies the
-    block is no wider than r+delta-1 basis vectors, every projected
-    codeword keeps full dimension, and the projected family's minimum
-    subspace distance reaches twice the source's local distance
-    guarantee.  The projected family is enumerated through the block's
+    block is no wider than r+delta-1 basis vectors and the projected
+    family's minimum subspace distance reaches twice the source's local
+    distance guarantee; every projected codeword keeps full dimension by
+    construction.  The projected family is enumerated through the block's
     local code; when the pair count exceeds ``max_pairs`` the distance
     scan falls back to sampling and the report says so.
     """
@@ -317,24 +324,21 @@ def verify_subspace_locality(
             )
             local_mats = local.field.matrix_batch(local.encode_batch(msgs))
             enumerated = False
-        # projection of a lifted basis onto the block: partial identity on
-        # top of the block's local codeword
-        local_bases = lift_batch(local_mats, p.n, cols)
-        dims = gfq_rank_batch(
-            np.ascontiguousarray(local_bases.transpose(0, 2, 1)), p.q
-        )
-        dim_ok = bool((dims == width).all())
-        n_pairs = len(local_bases) * (len(local_bases) - 1) // 2
+        # the projection of a lifted basis onto the block is the block's
+        # local codeword under distinct unit vectors of GF(q)^n, one per
+        # column, so it always keeps the full dimension: dim_ok holds by
+        # construction and is not recomputed
+        n_pairs = len(local_mats) * (len(local_mats) - 1) // 2
         exact = enumerated and n_pairs <= max_pairs
         dist = _pairwise_min_distance(
-            local_bases, p.q, None if exact else sample_pairs, seed + j
+            local_mats, p.n, cols, p.q, None if exact else sample_pairs, seed + j
         )
         blocks.append(
             BlockLocality(
                 block=j,
                 columns=tuple(range(cols.start, cols.stop)),
                 size_ok=size_ok,
-                dim_ok=dim_ok,
+                dim_ok=True,
                 projected_distance=dist,
                 required_distance=2 * p.delta,
                 exact=exact,

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rankloc.codes import CodeParams, LocalRankCode, build_code
-from rankloc.gf import FieldSpec, field_make, gfq_rank, tower_build
+from rankloc.gf import Field, FieldSpec, gfq_rank, tower_build
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -19,7 +19,7 @@ def warm_kernels():
 
 @pytest.fixture(scope="session")
 def example2_field():
-    return field_make(FieldSpec.default(2, 9))
+    return Field(FieldSpec.default(2, 9))
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from rankloc.crisscross import (
     decode_erasures_batch,
     decode_min_distance,
 )
-from rankloc.gf import FieldSpec, field_make, gfq_rank, gfq_rank_batch, tower_build
+from rankloc.gf import Field, FieldSpec, gfq_rank, gfq_rank_batch, tower_build
 from rankloc.linpoly import interpolate
 from rankloc.netsim import ChannelConfig, run_trials
 from rankloc.rng import SplitMix64
@@ -41,7 +41,7 @@ from helpers import all_4x4_cover_oracle, pattern_to_matrix, rand_matrix, subfie
 
 def build_reference_code() -> LocalRankCode:
     spec = FieldSpec.default(2, 9)  # x^9 + x^4 + 1
-    f = field_make(spec)
+    f = Field(spec)
     tower = tower_build(
         2, 9, 9, 3,
         spec=spec,
@@ -278,7 +278,7 @@ def test_criterion_8_mixed_pattern_scenario():
 
 def test_criterion_9_property_suites():
     start = time.perf_counter()
-    f9 = field_make(FieldSpec.default(2, 9))
+    f9 = Field(FieldSpec.default(2, 9))
     rng = SplitMix64(909)
 
     # field axioms
@@ -311,7 +311,7 @@ def test_criterion_9_property_suites():
 
     # product-basis rank: independent factors iff the s*mu products span,
     # exercised both ways on GF(2^6) with s=2, mu=3
-    f6 = field_make(FieldSpec.default(2, 6))
+    f6 = Field(FieldSpec.default(2, 6))
     sub4 = subfield_elements(f6, 2)
     assert len(sub4) == 4
     pairs = [

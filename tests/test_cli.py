@@ -238,6 +238,22 @@ def test_simulate_deterministic(ws, capsys):
     assert "success_rate=1.000000" in kv
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_degree_one_field_builds_and_verifies(ws, capsys, q):
+    # m = 1: the modulus x would make x = 0, which is never primitive, and
+    # with mu = 1 the power basis over GF(q^s) is just (1,)
+    (ws / "deg1.spec").write_text(f"q={q}\nm=1\nn=1\nk=1\nr=1\ndelta=1\n")
+    code, out, _ = run(capsys, "build", "--spec", ws / "deg1.spec")
+    assert code == 0
+    assert f"over GF({q}^1)" in out
+    assert "modulus=x + 1" in out
+    code, out, _ = run(capsys, "verify", "--spec", ws / "deg1.spec", "--mode", "exact")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == (
+        "d=1 (optimal), local d=1 (MRD), lifted d_S=2, subspace-locality (1,2): PASS"
+    )
+
+
 def test_bad_spec_reports_reason(ws, capsys):
     (ws / "bad.spec").write_text("q=2\nm=9\nn=9\nk=3\nr=2\ndelta=2\n")
     code, _, err = run(capsys, "build", "--spec", ws / "bad.spec")

@@ -226,6 +226,17 @@ def test_min_distance_budget_guard(example2_code):
         list(enumerate_codewords(example2_code, budget=10))
 
 
+def test_budget_guard_survives_the_cache():
+    # a fresh code, so the cache is filled here under the default budget
+    code = build_code(2, 6, 6, 2, 1, 2)
+    assert len(code.codeword_matrices()) == 4096
+    with pytest.raises(OracleBudgetError, match="oracle scale"):
+        code.codeword_matrices(budget=10)
+    with pytest.raises(OracleBudgetError, match="oracle scale"):
+        min_rank_distance(code, budget=10)
+    assert min_rank_distance(code) == 4
+
+
 def test_enumerate_codewords(tiny_code):
     pairs = list(enumerate_codewords(tiny_code))
     assert len(pairs) == tiny_code.codeword_count == 64**2

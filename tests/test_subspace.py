@@ -161,7 +161,7 @@ def test_min_subspace_distance_degenerate(tiny_code):
     from rankloc.subspace import _pairwise_min_distance
 
     with pytest.raises(ValueError, match="degenerate"):
-        _pairwise_min_distance(np.zeros((1, 12, 6), np.uint8), 2, None, 0)
+        _pairwise_min_distance(np.zeros((1, 6, 6), np.uint8), 6, range(6), 2, None, 0)
 
 
 # ---------------------------------------------------------------------------
