@@ -47,34 +47,6 @@ _ENV_VAR = "RANKLOC_BACKEND"
 # numpy backend
 
 
-def _np_rank(mat, add, sub, mul, inv):
-    """Rank by forward elimination; destroys ``mat``."""
-    rows, cols = mat.shape
-    r = 0
-    for col in range(cols):
-        piv = -1
-        for row in range(r, rows):
-            if mat[row, col]:
-                piv = row
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            mat[[r, piv], col:] = mat[[piv, r], col:]
-        pinv = inv[mat[r, col]]
-        below = mat[r + 1 :, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            fac = mul[below[nz], pinv]
-            mat[r + 1 + nz, col:] = sub[
-                mat[r + 1 + nz, col:], mul[fac[:, None], mat[r, col:][None, :]]
-            ]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def _np_row_reduce(mat, add, sub, mul, inv, n_pivot_cols):
     work = np.array(mat, dtype=np.uint8, copy=True)
     rows, cols = work.shape
@@ -121,8 +93,8 @@ class _NumpyBackend:
 
     @staticmethod
     def rank(mat, add, sub, mul, inv):
-        work = np.array(mat, dtype=np.uint8, copy=True)
-        return _np_rank(work, add, sub, mul, inv)
+        mat = np.asarray(mat, dtype=np.uint8)
+        return len(_np_row_reduce(mat, add, sub, mul, inv, mat.shape[1])[1])
 
     @staticmethod
     def rank_batch(mats, add, sub, mul, inv):

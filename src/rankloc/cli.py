@@ -51,6 +51,22 @@ def _load(args) -> tuple:
     return spec, spec.build()
 
 
+def _read_stamped(path: str, spec) -> str:
+    """Text of a file, refused when its header names another spec."""
+    text = _read(path)
+    check_fingerprint(text, spec.fingerprint())
+    return text
+
+
+def _write_stamped(args, spec, format_fn, *data) -> None:
+    """Write ``format_fn(*data)`` to --out, stamped with the spec's name and hash."""
+    text = format_fn(
+        *data, fingerprint=spec.fingerprint(), spec_name=os.path.basename(args.spec)
+    )
+    atomic_write(args.out, text)
+    print(f"wrote {args.out}")
+
+
 def cmd_build(args) -> int:
     spec, code = _load(args)
     p = code.params
@@ -86,12 +102,7 @@ def cmd_encode(args) -> int:
     elements = code.encode(message)
     if args.show_poly:
         print(code.encoding_poly(message).format("f"))
-    text = format_codeword(
-        f, elements, fingerprint=spec.fingerprint(),
-        spec_name=os.path.basename(args.spec),
-    )
-    atomic_write(args.out, text)
-    print(f"wrote {args.out}")
+    _write_stamped(args, spec, format_codeword, f, elements)
     return 0
 
 
@@ -99,9 +110,7 @@ def cmd_inject(args) -> int:
     spec, code = _load(args)
     p = code.params
     f = code.field
-    cw_text = _read(args.codeword)
-    check_fingerprint(cw_text, spec.fingerprint())
-    elements = parse_codeword(cw_text, f, p.n)
+    elements = parse_codeword(_read_stamped(args.codeword, spec), f, p.n)
     matrix = f.to_matrix(elements)
     erased, errored = parse_pattern(_read(args.pattern), p.m, p.n)
     if errored.any():
@@ -112,21 +121,16 @@ def cmd_inject(args) -> int:
         values = np.zeros_like(errored)
     _, err = validate_patterns(erased, values, p.q)
     received = base_tables(p.q).add[matrix, err]
-    text = format_received(
-        received, erased, fingerprint=spec.fingerprint(),
-        spec_name=os.path.basename(args.spec),
-    )
-    atomic_write(args.out, text)
-    print(f"wrote {args.out}")
+    _write_stamped(args, spec, format_received, received, erased)
     return 0
 
 
 def cmd_decode(args) -> int:
     spec, code = _load(args)
     p = code.params
-    rec_text = _read(args.received)
-    check_fingerprint(rec_text, spec.fingerprint())
-    values, erased = parse_received(rec_text, p.q, p.m, p.n)
+    values, erased = parse_received(
+        _read_stamped(args.received, spec), p.q, p.m, p.n
+    )
     try:
         result = decode_erasures(code, values, erased)
     except (AmbiguousErasureError, ValueError) as exc:
@@ -135,14 +139,9 @@ def cmd_decode(args) -> int:
         return 2
     for line in result.verdict_lines():
         print(line)
-    elements = code.field.from_matrix(result.matrix)
-    text = format_codeword(
-        code.field, elements, fingerprint=spec.fingerprint(),
-        spec_name=os.path.basename(args.spec),
-    )
     if args.out:
-        atomic_write(args.out, text)
-        print(f"wrote {args.out}")
+        elements = code.field.from_matrix(result.matrix)
+        _write_stamped(args, spec, format_codeword, code.field, elements)
     return 0
 
 
@@ -206,16 +205,9 @@ def cmd_verify(args) -> int:
 def cmd_lift(args) -> int:
     spec, code = _load(args)
     p = code.params
-    cw_text = _read(args.codeword)
-    check_fingerprint(cw_text, spec.fingerprint())
-    elements = parse_codeword(cw_text, code.field, p.n)
+    elements = parse_codeword(_read_stamped(args.codeword, spec), code.field, p.n)
     subspace = lift(code.field.to_matrix(elements), p.q)
-    text = format_subspace(
-        subspace.basis, fingerprint=spec.fingerprint(),
-        spec_name=os.path.basename(args.spec),
-    )
-    atomic_write(args.out, text)
-    print(f"wrote {args.out}")
+    _write_stamped(args, spec, format_subspace, subspace.basis)
     return 0
 
 
@@ -313,6 +305,12 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        reason = "out of memory"
+        if hasattr(args, "budget"):
+            reason += f" at --budget {args.budget}; lower the budget"
+        print(f"error: {reason}", file=sys.stderr)
         return 3
 
 

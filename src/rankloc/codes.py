@@ -194,13 +194,15 @@ class _EvaluationCode:
         if self._gen_gfq is None:
             f = self.field
             mk = f.m * self.k
-            rows = np.empty((mk, f.m * self.n), dtype=np.uint8)
-            for slot in range(self.k):
-                for t in range(f.m):
-                    basis = f.q**t
-                    cw = [f.mul(basis, self._gen[slot][col]) for col in range(self.n)]
-                    rows[slot * f.m + t] = f.to_matrix(cw).flatten(order="F")
-            self._gen_gfq = rows
+            products = [
+                f.mul(f.q**t, self._gen[slot][col])
+                for slot in range(self.k)
+                for t in range(f.m)
+                for col in range(self.n)
+            ]
+            # digits[i, row, col] -> rows[row, col * m + i]: column-major flatten
+            digits = f.to_matrix(products).reshape(f.m, mk, self.n)
+            self._gen_gfq = digits.transpose(1, 2, 0).reshape(mk, self.n * f.m)
         return self._gen_gfq
 
 

@@ -34,13 +34,60 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+_DIGITS = "0123456789"
+
+
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of every non-blank, non-comment line."""
+    stripped = (raw.strip() for raw in text.splitlines())
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(stripped, start=1)
+        if line and not line.startswith("#")
+    ]
+
+
+def _check_count(found: int, expected: int, what: str) -> None:
+    if found != expected:
+        raise FormatError(f"expected {expected} {what}, found {found}")
+
+
+def _parse_int(text: str) -> int:
+    """int() limited to ASCII: int() also reads the decimal digits of other scripts."""
+    if not text.isascii():
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+def _read_elements(lines: list[tuple[int, str]], field: Field) -> list[int]:
+    out = []
+    for lineno, line in lines:
+        try:
+            out.append(field.parse_element(line))
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
+    return out
+
+
+def _read_grid(
+    lines: list[tuple[int, str]], width: int, alphabet: str, name: str
+) -> np.ndarray:
+    """Fixed-width character rows as a (rows, width) array of alphabet indices."""
+    rows = []
+    for lineno, line in lines:
+        if len(line) != width:
+            raise FormatError(f"expected {width} {name} characters", lineno)
+        bad = next((ch for ch in line if ch not in alphabet), None)
+        if bad is not None:
+            raise FormatError(f"bad {name} character {bad!r}", lineno)
+        rows.append([alphabet.index(ch) for ch in line])
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+
+
 def _read_kv_lines(text: str) -> tuple[dict[str, str], dict[str, int]]:
     values: dict[str, str] = {}
     where: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         if "=" not in line:
             raise FormatError("expected key=value", lineno)
         key, _, value = line.partition("=")
@@ -78,13 +125,13 @@ class CodeSpec:
             if key not in values:
                 raise FormatError(f"missing key {key!r}")
             try:
-                nums[key] = int(values[key])
+                nums[key] = _parse_int(values[key])
             except ValueError:
                 raise FormatError(f"{key} must be an integer", where[key]) from None
         modulus = None
         if "modulus" in values:
             try:
-                modulus = tuple(int(c) for c in values["modulus"].split(","))
+                modulus = tuple(_parse_int(c) for c in values["modulus"].split(","))
             except ValueError:
                 raise FormatError(
                     "modulus must be comma-separated integers", where["modulus"]
@@ -198,67 +245,36 @@ def format_codeword(
 
 def parse_codeword(text: str, field: Field, n: int) -> list[int]:
     """Accept element lines, a digit-matrix block, or both (cross-checked)."""
-    entries: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            entries.append((lineno, line))
+    lines = _data_lines(text)
     m = field.m
 
-    def parse_elements(chunk: list[tuple[int, str]]) -> list[int]:
-        out = []
-        for lineno, line in chunk:
-            try:
-                out.append(field.parse_element(line))
-            except ValueError as exc:
-                raise FormatError(str(exc), lineno) from None
-        return out
+    def parse_matrix(rows: list[tuple[int, str]]) -> list[int]:
+        return field.from_matrix(_read_grid(rows, n, _DIGITS[: field.q], "matrix"))
 
-    def parse_matrix(chunk: list[tuple[int, str]]) -> list[int]:
-        rows = []
-        for lineno, line in chunk:
-            if len(line) != n or not all(ch.isdigit() for ch in line):
-                raise FormatError(f"expected {n} digits", lineno)
-            row = [int(ch) for ch in line]
-            if max(row) >= field.q:
-                raise FormatError("digit out of range", lineno)
-            rows.append(row)
-        return field.from_matrix(np.array(rows, dtype=np.uint8))
-
-    if len(entries) == n + m:
-        elements = parse_elements(entries[:n])
-        from_matrix = parse_matrix(entries[n:])
-        if elements != from_matrix:
+    if len(lines) == n + m:
+        elements = _read_elements(lines[:n], field)
+        if elements != parse_matrix(lines[n:]):
             raise FormatError(
-                "element lines disagree with matrix block", entries[n][0]
+                "element lines disagree with matrix block", lines[n][0]
             )
         return elements
-    if len(entries) == n and not all(
-        len(line) == n and line.isdigit() for _, line in entries
+    if len(lines) == n and not all(
+        len(line) == n and line.isdigit() for _, line in lines
     ):
-        return parse_elements(entries)
-    if len(entries) == m:
-        return parse_matrix(entries)
-    if len(entries) == n:
-        return parse_elements(entries)
+        return _read_elements(lines, field)
+    if len(lines) == m:
+        return parse_matrix(lines)
+    if len(lines) == n:
+        return _read_elements(lines, field)
     raise FormatError(
         f"expected {n} element lines, {m} matrix rows, or both;"
-        f" found {len(entries)} data lines"
+        f" found {len(lines)} data lines"
     )
 
 
 def parse_message(text: str, field: Field, k: int) -> list[int]:
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            entries.append(field.parse_element(line))
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-    if len(entries) != k:
-        raise FormatError(f"expected {k} message elements, found {len(entries)}")
+    entries = _read_elements(_data_lines(text), field)
+    _check_count(len(entries), k, "message elements")
     return entries
 
 
@@ -274,45 +290,22 @@ def format_message(field: Field, elements: list[int]) -> str:
 
 def parse_pattern(text: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Returns (erasure mask, error-location mask)."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(line) != n:
-            raise FormatError(f"expected {n} pattern characters", lineno)
-        bad = next((ch for ch in line if ch not in ".?E"), None)
-        if bad is not None:
-            raise FormatError(f"bad pattern character {bad!r}", lineno)
-        rows.append(line)
-    if len(rows) != m:
-        raise FormatError(f"expected {m} pattern rows, found {len(rows)}")
-    erased = np.array([[ch == "?" for ch in row] for row in rows], dtype=np.uint8)
-    errored = np.array([[ch == "E" for ch in row] for row in rows], dtype=np.uint8)
-    return erased, errored
+    grid = _read_grid(_data_lines(text), n, ".?E", "pattern")
+    _check_count(len(grid), m, "pattern rows")
+    return (grid == 1).astype(np.uint8), (grid == 2).astype(np.uint8)
 
 
 def parse_error_values(
     text: str, field: Field, errored: np.ndarray
 ) -> np.ndarray:
     """Sidecar element list, one value per 'E' cell in row-major order."""
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            code = field.parse_element(line)
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
+    lines = _data_lines(text)
+    values = _read_elements(lines, field)
+    for (lineno, _), code in zip(lines, values):
         if field.m != 1 and code >= field.q:
             raise FormatError("error values are base-field symbols", lineno)
-        values.append(code)
     cells = np.argwhere(errored)
-    if len(values) != len(cells):
-        raise FormatError(
-            f"expected {len(cells)} error values, found {len(values)}"
-        )
+    _check_count(len(values), len(cells), "error values")
     out = np.zeros_like(errored)
     for (i, j), v in zip(cells, values):
         out[i, j] = v
@@ -340,28 +333,11 @@ def format_received(
 
 
 def parse_received(text: str, q: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(line) != n:
-            raise FormatError(f"expected {n} characters", lineno)
-        cells = []
-        for ch in line:
-            if ch == "?":
-                cells.append(-1)
-            elif ch.isdigit() and int(ch) < q:
-                cells.append(int(ch))
-            else:
-                raise FormatError(f"bad received character {ch!r}", lineno)
-        rows.append(cells)
-    if len(rows) != m:
-        raise FormatError(f"expected {m} received rows, found {len(rows)}")
-    grid = np.array(rows, dtype=np.int64)
-    erased = (grid < 0).astype(np.uint8)
-    values = np.where(grid < 0, 0, grid).astype(np.uint8)
-    return values, erased
+    digits = _DIGITS[:q]
+    grid = _read_grid(_data_lines(text), n, digits + "?", "received")
+    _check_count(len(grid), m, "received rows")
+    erased = grid == len(digits)
+    return np.where(erased, 0, grid).astype(np.uint8), erased.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -379,33 +355,23 @@ def format_subspace(
 
 
 def parse_subspace(text: str, q: int = 2) -> np.ndarray:
-    header = None
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split()
-            if (
-                len(parts) != 2
-                or not parts[0].startswith("M=")
-                or not parts[1].startswith("dim=")
-            ):
-                raise FormatError("expected 'M=<int> dim=<int>' header", lineno)
-            try:
-                header = (int(parts[0][2:]), int(parts[1][4:]))
-            except ValueError:
-                raise FormatError("bad subspace header", lineno) from None
-            continue
-        if len(line) != header[1] or not all(ch.isdigit() for ch in line):
-            raise FormatError(f"expected {header[1]} digits", lineno)
-        row = [int(ch) for ch in line]
-        if row and max(row) >= q:
-            raise FormatError("digit out of range", lineno)
-        rows.append(row)
-    if header is None:
+    lines = _data_lines(text)
+    if not lines:
         raise FormatError("missing subspace header")
-    if len(rows) != header[0]:
-        raise FormatError(f"expected {header[0]} basis rows, found {len(rows)}")
-    return np.array(rows, dtype=np.uint8)
+    lineno, line = lines[0]
+    parts = line.split()
+    if (
+        len(parts) != 2
+        or not parts[0].startswith("M=")
+        or not parts[1].startswith("dim=")
+    ):
+        raise FormatError("expected 'M=<int> dim=<int>' header", lineno)
+    try:
+        ambient, dim = _parse_int(parts[0][2:]), _parse_int(parts[1][4:])
+    except ValueError:
+        ambient = dim = -1
+    if min(ambient, dim) < 0:
+        raise FormatError("bad subspace header", lineno)
+    basis = _read_grid(lines[1:], dim, _DIGITS[:q], "subspace")
+    _check_count(len(basis), ambient, "basis rows")
+    return basis

@@ -421,6 +421,8 @@ class Field:
         s = text.strip()
         if not s:
             raise ValueError("empty element")
+        if not s.isascii():
+            raise ValueError(f"cannot parse element {text!r}")
         if s in ("0", "1"):
             return int(s)
         if s == "w":

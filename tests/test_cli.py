@@ -72,6 +72,124 @@ def test_build_summary(ws, capsys):
     assert "fingerprint=6a0a39270873" in out
 
 
+REFERENCE_BUILD_STDOUT = """\
+code=(9x9, k=4, r=2, delta=2) over GF(2^9)
+modulus=x^9 + x^4 + 1
+mu=3 s=3
+d_bound=5
+local=(3,2) MRD, local_distance=2
+rack_1=1,w^73,w^146
+rack_2=w^309,w^382,w^455
+rack_3=w^107,w^180,w^253
+fingerprint=6a0a39270873
+"""
+
+TINY_BUILD_STDOUT = """\
+code=(6x6, k=2, r=1, delta=2) over GF(2^6)
+modulus=x^6 + x + 1
+mu=3 s=2
+d_bound=4
+local=(2,1) MRD, local_distance=2
+rack_1=1,w^21
+rack_2=w^1,w^22
+rack_3=w^2,w^23
+fingerprint=9be733e767c5
+"""
+
+REFERENCE_HEADER = """\
+# spec: ref.spec
+# spec-fingerprint: 6a0a39270873
+"""
+
+REFERENCE_MATRIX_ROWS = """\
+001000001
+110001101
+101010111
+011100011
+111100101
+001000001
+001110001
+010001001
+100101000
+"""
+
+REFERENCE_CODEWORD_TEXT = (
+    "# rankloc codeword format 1\n" + REFERENCE_HEADER
+    + "# columns: 9 elements of GF(2^9)\n"
+    + "w^440\nw^307\nw^81\nw^465\nw^11\nw^174\nw^236\nw^132\nw^399\n"
+    + "# matrix: 9 x 9 over GF(2), column t expands element t"
+    " (low coefficient first)\n"
+    + REFERENCE_MATRIX_ROWS
+)
+
+REFERENCE_MIXED_RECEIVED_TEXT = (
+    "# rankloc received format 1\n" + REFERENCE_HEADER
+    + "# 9 x 9 over GF(q); '?' marks an erased cell\n"
+    "??????001\n"
+    "????01101\n"
+    "????10111\n"
+    "011?00011\n"
+    "111?00101\n"
+    "001?00001\n"
+    "001?10001\n"
+    "010?01001\n"
+    "100?01???\n"
+)
+
+REFERENCE_SUBSPACE_TEXT = (
+    "# rankloc subspace format 1\n" + REFERENCE_HEADER + "M=18 dim=9\n"
+    + "".join("0" * i + "1" + "0" * (8 - i) + "\n" for i in range(9))
+    + REFERENCE_MATRIX_ROWS
+)
+
+
+def test_build_stdout_golden(ws, capsys):
+    for name, expected in (("ref", REFERENCE_BUILD_STDOUT), ("tiny", TINY_BUILD_STDOUT)):
+        code, out, _ = run(capsys, "build", "--spec", ws / f"{name}.spec")
+        assert code == 0
+        assert out == expected
+
+
+def test_written_files_golden(ws, capsys):
+    # every file the CLI writes, headers included, and the stdout of each
+    # writing command, on the reference code with the mixed pattern
+    (ws / "mixed.pat").write_text(MIXED_PATTERN)
+    spec = ("--spec", ws / "ref.spec")
+    steps = [
+        (
+            ("encode", *spec, "--message", ws / "msg.txt", "--out", ws / "cw.txt",
+             "--show-poly"),
+            "f = w^1*X^[0] + w^2*X^[1] + w^4*X^[3] + w^8*X^[4]\n"
+            f"wrote {ws / 'cw.txt'}\n",
+        ),
+        (
+            ("inject", *spec, "--codeword", ws / "cw.txt", "--pattern",
+             ws / "mixed.pat", "--out", ws / "recv.txt"),
+            f"wrote {ws / 'recv.txt'}\n",
+        ),
+        (
+            ("decode", *spec, "--received", ws / "recv.txt", "--out", ws / "back.txt"),
+            f"LOCAL j=3\nGLOBAL\nwrote {ws / 'back.txt'}\n",
+        ),
+        (("decode", *spec, "--received", ws / "recv.txt"), "LOCAL j=3\nGLOBAL\n"),
+        (
+            ("lift", *spec, "--codeword", ws / "cw.txt", "--out", ws / "sub.txt"),
+            f"wrote {ws / 'sub.txt'}\n",
+        ),
+    ]
+    for argv, expected in steps:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")
+    assert (ws / "cw.txt").read_text() == REFERENCE_CODEWORD_TEXT
+    assert (ws / "recv.txt").read_text() == REFERENCE_MIXED_RECEIVED_TEXT
+    assert (ws / "back.txt").read_text() == REFERENCE_CODEWORD_TEXT
+    assert (ws / "sub.txt").read_text() == REFERENCE_SUBSPACE_TEXT
+    assert sorted(p.name for p in ws.iterdir()) == [
+        "back.txt", "cw.txt", "mixed.pat", "msg.txt", "recv.txt", "ref.spec",
+        "sub.txt", "tiny.spec",
+    ]
+
+
 def test_encode_golden(ws, capsys):
     code, out, _ = run(
         capsys, "encode", "--spec", ws / "ref.spec", "--message", ws / "msg.txt",
@@ -281,3 +399,64 @@ def test_missing_file_reports_error(ws, capsys):
     code, _, err = run(capsys, "build", "--spec", ws / "nope.spec")
     assert code == 3
     assert "error:" in err
+
+
+SUPERSCRIPT_TWO = "\u00b2"
+
+
+@pytest.mark.parametrize(
+    "command, filename, text, reason",
+    [
+        ("build", "ref.spec", "q=" + SUPERSCRIPT_TWO + "\n",
+         "line 1: q must be an integer"),
+        ("encode", "msg.txt", "w^1\nw^" + SUPERSCRIPT_TWO + "\n",
+         "line 2: "),
+        ("inject", "mixed.pat",
+         MIXED_PATTERN.replace("..???", "..?" + SUPERSCRIPT_TWO + "?"),
+         "line 9: bad pattern"),
+        ("decode", "recv.txt",
+         REFERENCE_MIXED_RECEIVED_TEXT.replace("011?", "01" + SUPERSCRIPT_TWO + "?"),
+         "line 8: bad received character"),
+        ("lift", "cw.txt",
+         REFERENCE_CODEWORD_TEXT.replace("\n001000001\n", "\n00" + SUPERSCRIPT_TWO
+                                         + "000001\n", 1),
+         "line 15: bad matrix character"),
+    ],
+    ids=["build", "encode", "inject", "decode", "lift"],
+)
+def test_malformed_input_exits_3(ws, capsys, command, filename, text, reason):
+    # each reading command refuses a malformed file with exit 3 and the line
+    (ws / "mixed.pat").write_text(MIXED_PATTERN)
+    (ws / "cw.txt").write_text(REFERENCE_CODEWORD_TEXT)
+    (ws / "recv.txt").write_text(REFERENCE_MIXED_RECEIVED_TEXT)
+    (ws / filename).write_text(text)
+    argv = {
+        "build": (),
+        "encode": ("--message", ws / "msg.txt", "--out", ws / "out.txt"),
+        "inject": ("--codeword", ws / "cw.txt", "--pattern", ws / "mixed.pat",
+                   "--out", ws / "out.txt"),
+        "decode": ("--received", ws / "recv.txt"),
+        "lift": ("--codeword", ws / "cw.txt", "--out", ws / "out.txt"),
+    }[command]
+    code, out, err = run(capsys, command, "--spec", ws / "ref.spec", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and reason in err
+    assert not (ws / "out.txt").exists()
+
+
+def test_out_of_memory_exits_3(ws, capsys, monkeypatch):
+    # the exact scan asks for q^(mk) message codes; stand in for the
+    # allocation failure instead of allocating for real
+    from rankloc.codes import _EvaluationCode
+
+    def no_memory(self, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(_EvaluationCode, "message_codes", no_memory)
+    code, out, err = run(
+        capsys, "verify", "--spec", ws / "ref.spec", "--mode", "exact",
+        "--budget", "100000000000",
+    )
+    assert code == 3
+    assert out == "d_bound=5\ngood_poly_per_rack=1,w^119,w^238\n"
+    assert err == "error: out of memory at --budget 100000000000; lower the budget\n"

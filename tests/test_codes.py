@@ -183,20 +183,21 @@ def test_encode_batch_matches_scalar(example2_code):
         assert list(batch[b]) == code.encode(list(msgs[b]))
 
 
-def test_generator_gfq_rows_are_basis_codewords(example2_code):
-    code = example2_code
-    f = code.field
-    gen = code.generator_gfq()
-    assert gen.shape == (f.m * code.k, f.m * code.n)
-    assert gfq_rank(gen, f.q) == f.m * code.k
-    rng = SplitMix64(331)
-    for _ in range(30):
-        slot = rng.randbelow(code.k)
-        t = rng.randbelow(f.m)
-        msg = [0] * code.k
-        msg[slot] = f.q**t
-        flat = code.encode_matrix(msg).flatten(order="F")
-        assert np.array_equal(gen[slot * f.m + t], flat)
+def test_generator_gfq_rows_are_basis_codewords(example2_code, tiny_code):
+    # every row of the global and each local generator, on both codes
+    for parent in (example2_code, tiny_code):
+        mu = parent.params.mu
+        for code in [parent] + [parent.local_code(j) for j in range(1, mu + 1)]:
+            f = code.field
+            gen = code.generator_gfq()
+            assert gen.shape == (f.m * code.k, f.m * code.n)
+            assert gfq_rank(gen, f.q) == f.m * code.k
+            for slot in range(code.k):
+                for t in range(f.m):
+                    msg = [0] * code.k
+                    msg[slot] = f.q**t
+                    flat = f.to_matrix(code.encode(msg)).flatten(order="F")
+                    assert np.array_equal(gen[slot * f.m + t], flat)
 
 
 def test_message_validation(example2_code):

@@ -20,6 +20,7 @@ from rankloc.formats import (
     parse_received,
     parse_subspace,
 )
+from rankloc.gf import Field, FieldSpec
 from rankloc.rng import SplitMix64
 from rankloc.subspace import rcef
 
@@ -215,3 +216,88 @@ def test_subspace_round_trip(tiny_code):
         parse_subspace("101010\n")
     with pytest.raises(FormatError, match="expected 12 basis rows"):
         parse_subspace("M=12 dim=6\n" + "000000\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every parser refuses with FormatError, never a bare
+# ValueError or IndexError, and names the line when one line is at fault
+
+SUPERSCRIPT_TWO = "\u00b2"  # isdigit() is true, int() refuses it
+ARABIC_THREE = "\u0663"  # int() reads it as 3
+
+_F2 = Field(FieldSpec.default(2, 3))
+_TWO_ERRORS = np.array([[1, 0, 0], [0, 0, 1]], dtype=np.uint8)
+
+
+def _spec(line):
+    return TINY_SPEC.replace("q=2\n", line + "\n")
+
+
+_PARSERS = {
+    "spec": CodeSpec.from_text,
+    "codeword": lambda text: parse_codeword(text, _F2, 2),
+    "message": lambda text: parse_message(text, _F2, 2),
+    "pattern": lambda text: parse_pattern(text, 2, 3),
+    "errors": lambda text: parse_error_values(text, _F2, _TWO_ERRORS),
+    "received": lambda text: parse_received(text, 5, 2, 3),
+    "subspace": lambda text: parse_subspace(text, 5),
+}
+
+_MALFORMED = [
+    ("spec", "width", "modulus=1,,1\n" + TINY_SPEC, "line 1: modulus"),
+    ("spec", "rows", "q=2\nm=6\n", "missing key 'n'"),
+    ("spec", "bad", _spec("q=2x"), "line 1: q must be an integer"),
+    ("spec", "superscript", _spec("q=" + SUPERSCRIPT_TWO), "line 1: q must"),
+    ("spec", "arabic", _spec("q=" + ARABIC_THREE), "line 1: q must"),
+    # codewords of n=2 over GF(2^3): 2 element lines or a 3 x 2 digit block
+    ("codeword", "width", "01\n011\n10\n", "line 2: expected 2 matrix characters"),
+    ("codeword", "rows", "01\n10\n11\n00\n", "found 4 data lines"),
+    ("codeword", "bad", "01\n0x\n10\n", "line 2: bad matrix character 'x'"),
+    ("codeword", "superscript", "01\n1" + SUPERSCRIPT_TWO + "\n10\n",
+     "line 2: bad matrix"),
+    ("codeword", "arabic", "01\n10\n" + ARABIC_THREE + "0\n", "line 3: bad matrix"),
+    ("codeword", "arabic_element", "w^1\nw^" + ARABIC_THREE + "\n", "line 2: cannot parse"),
+    ("message", "width", "w^1\n0101\n", "line 2: cannot parse"),
+    ("message", "rows", "w^1\nw^2\nw^3\n", "expected 2 message elements, found 3"),
+    ("message", "bad", "w^x\nw^2\n", "line 1: "),
+    ("message", "superscript", "w^1\nw^" + SUPERSCRIPT_TWO + "\n", "line 2: "),
+    ("message", "arabic", "# m\nw^" + ARABIC_THREE + "\nw^2\n", "line 2: cannot parse"),
+    ("pattern", "width", "...\n..\n", "line 2: expected 3 pattern characters"),
+    ("pattern", "rows", "...\n", "expected 2 pattern rows, found 1"),
+    ("pattern", "bad", "...\n.x.\n", "line 2: bad pattern character 'x'"),
+    ("pattern", "superscript", SUPERSCRIPT_TWO + "..\n...\n", "line 1: bad pattern"),
+    ("pattern", "arabic", "...\n" + ARABIC_THREE + "..\n", "line 2: bad pattern"),
+    ("errors", "width", "1\n0101\n", "line 2: cannot parse"),
+    ("errors", "rows", "1\n", "expected 2 error values, found 1"),
+    ("errors", "bad", "1\nw^x\n", "line 2: "),
+    ("errors", "superscript", SUPERSCRIPT_TWO + "\n1\n", "line 1: "),
+    ("errors", "arabic", "1\n" + ARABIC_THREE + "\n", "line 2: cannot parse"),
+    ("received", "width", "012\n34\n", "line 2: expected 3 received characters"),
+    ("received", "rows", "012\n", "expected 2 received rows, found 1"),
+    ("received", "bad", "012\n3?5\n", "line 2: bad received character '5'"),
+    ("received", "superscript", "0" + SUPERSCRIPT_TWO + "2\n???\n",
+     "line 1: bad received character"),
+    ("received", "arabic", "012\n?" + ARABIC_THREE + "?\n", "line 2: bad received"),
+    ("subspace", "width", "M=2 dim=3\n012\n34\n", "line 3: expected 3 subspace"),
+    ("subspace", "rows", "M=2 dim=3\n012\n", "expected 2 basis rows, found 1"),
+    ("subspace", "bad", "M=2 dim=3\n012\n3x4\n", "line 3: bad subspace character"),
+    ("subspace", "superscript", "M=2 dim=3\n0" + SUPERSCRIPT_TWO + "2\n012\n",
+     "line 2: bad subspace character"),
+    ("subspace", "arabic", "M=2 dim=3\n012\n" + ARABIC_THREE + "00\n",
+     "line 3: bad subspace character"),
+    ("subspace", "arabic_header", "M=" + ARABIC_THREE + " dim=1\n0\n0\n0\n",
+     "line 1: bad subspace header"),
+    ("subspace", "negative_header", "M=0 dim=-1\n", "line 1: bad subspace header"),
+]
+
+
+@pytest.mark.parametrize(
+    "parser, text, reason",
+    [pytest.param(parser, text, reason, id=f"{parser}-{kind}")
+     for parser, kind, text, reason in _MALFORMED],
+)
+def test_malformed_input_raises_format_error(parser, text, reason):
+    with pytest.raises(ValueError) as exc:
+        _PARSERS[parser](text)
+    assert type(exc.value) is FormatError
+    assert reason in str(exc.value)
