@@ -52,6 +52,7 @@ from .netsim import (
     decode_subspace_min,
     local_candidates,
     run_trials,
+    solve_download,
     transmit_matrix,
 )
 from .rng import SplitMix64, mix64
@@ -118,6 +119,7 @@ __all__ = [
     "root_space_dim",
     "run_trials",
     "sampled_min_rank",
+    "solve_download",
     "subspace_distance",
     "tower_build",
     "transmit_matrix",

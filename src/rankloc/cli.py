@@ -226,6 +226,7 @@ def cmd_simulate(args) -> int:
     print(f"{'trials':<14}{report.trials}")
     print(f"{'successes':<14}{report.successes}")
     print(f"{'success_rate':<14}{report.success_rate:.6f}")
+    print(f"{'enumerated':<14}{report.enumerated}")
     print(f"{'wall_time':<14}{report.wall_time:.3f}s")
     print(f"{'rho':>5}{'t':>4}{'count':>8}")
     for (rho, t), count in report.histogram:

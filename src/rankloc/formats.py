@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import LocalRankCode, build_code
-from .gf import Field, FieldSpec
+from .gf import Field, FieldSpec, parse_uint
 
 SPEC_FORMAT_VERSION = "1"
 
@@ -50,13 +50,6 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
 def _check_count(found: int, expected: int, what: str) -> None:
     if found != expected:
         raise FormatError(f"expected {expected} {what}, found {found}")
-
-
-def _parse_int(text: str) -> int:
-    """int() limited to ASCII: int() also reads the decimal digits of other scripts."""
-    if not text.isascii():
-        raise ValueError(f"invalid literal for int(): {text!r}")
-    return int(text)
 
 
 def _read_elements(lines: list[tuple[int, str]], field: Field) -> list[int]:
@@ -125,13 +118,13 @@ class CodeSpec:
             if key not in values:
                 raise FormatError(f"missing key {key!r}")
             try:
-                nums[key] = _parse_int(values[key])
+                nums[key] = parse_uint(values[key])
             except ValueError:
                 raise FormatError(f"{key} must be an integer", where[key]) from None
         modulus = None
         if "modulus" in values:
             try:
-                modulus = tuple(_parse_int(c) for c in values["modulus"].split(","))
+                modulus = tuple(parse_uint(c) for c in values["modulus"].split(","))
             except ValueError:
                 raise FormatError(
                     "modulus must be comma-separated integers", where["modulus"]
@@ -367,11 +360,9 @@ def parse_subspace(text: str, q: int = 2) -> np.ndarray:
     ):
         raise FormatError("expected 'M=<int> dim=<int>' header", lineno)
     try:
-        ambient, dim = _parse_int(parts[0][2:]), _parse_int(parts[1][4:])
+        ambient, dim = parse_uint(parts[0][2:]), parse_uint(parts[1][4:])
     except ValueError:
-        ambient = dim = -1
-    if min(ambient, dim) < 0:
-        raise FormatError("bad subspace header", lineno)
+        raise FormatError("bad subspace header", lineno) from None
     basis = _read_grid(lines[1:], dim, _DIGITS[:q], "subspace")
     _check_count(len(basis), ambient, "basis rows")
     return basis

@@ -88,6 +88,17 @@ def _digits(v: int, base: int, count: int) -> list[int]:
     return out
 
 
+def parse_uint(text: str) -> int:
+    """A decimal integer of ASCII digits only, surrounding whitespace stripped.
+
+    int() alone also reads signs, underscores and other scripts' digits.
+    """
+    s = text.strip()
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(s)
+
+
 class GFTables(NamedTuple):
     """Base-field operation tables consumed by the linear-algebra kernels."""
 
@@ -428,9 +439,9 @@ class Field:
         if s == "w":
             return self.omega_pow(1)
         if s.startswith("w^"):
-            return self.omega_pow(int(s[2:]))
+            return self.omega_pow(parse_uint(s[2:]))
         if "," in s:
-            return self.from_coeffs([int(p) for p in s.split(",")])
+            return self.from_coeffs([parse_uint(p) for p in s.split(",")])
         if self.q <= 10 and len(s) == self.m and s.isdigit():
             return self.from_coeffs([int(ch) for ch in s])
         raise ValueError(f"cannot parse element {text!r}")

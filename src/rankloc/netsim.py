@@ -6,7 +6,11 @@ the block projection of the lifted codeword.  The network is abstracted to
 its end-to-end effect Y = A X + B Z: a random collection matrix A whose
 rank deficiency models packet erasures, and up to t_max injected error
 packets Z mixed in through B.  The receiver decodes by minimum subspace
-distance over the rack's lifted local code.
+distance over the rack's lifted local code: first by one GF(q) linear solve
+for the candidates whose lifted space contains the received row space
+(``solve_download``), which are exactly the nearest ones whenever any
+exists, and only when none does by ranking every enumerated candidate
+(``local_candidates`` and ``decode_subspace_min``, built on first need).
 
 Every trial draws its own generator stream from (seed, trial index), so
 runs are reproducible and order independent; reports compare equal across
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import DEFAULT_ORACLE_BUDGET, LocalRankCode
+from .codes import DEFAULT_ORACLE_BUDGET, LocalRankCode, OracleBudgetError
+from .crisscross import AmbiguousErasureError, _solve_known
 from .gf import base_tables, gfq_matmul, gfq_rank
 from .rng import SplitMix64
 from .subspace import lift_batch, rcef, subspace_distance_batch
@@ -158,6 +163,43 @@ def decode_subspace_min(
     )
 
 
+def solve_download(
+    local_gen: np.ndarray, n: int, cols: range, received: np.ndarray, q: int = 2
+) -> np.ndarray | None:
+    """The rack codeword whose lifted space contains row(Y), by one GF(q) solve.
+
+    A received row [h | y] lies in the lift of local codeword C = u G exactly
+    when h vanishes off the rack's columns ``cols`` and y = u (sum_i h_i G_i),
+    with G_i the column blocks of the local generator ``local_gen``
+    (``generator_gfq`` layout).  Every lifted candidate is s-dimensional, so
+    the candidates containing row(Y) are at distance s - rank Y and every
+    other one is at least 2 further: a unique solution is the unique nearest
+    candidate (returned as its m x s matrix) and several solutions are a tie
+    (AmbiguousErasureError).  None means no candidate contains row(Y), which
+    takes an injected error packet; then only enumeration finds the nearest.
+    """
+    y = np.asarray(received, dtype=np.uint8)
+    header = y[:, :n]
+    if header[:, : cols.start].any() or header[:, cols.stop :].any():
+        return None
+    dim, width = local_gen.shape
+    s = len(cols)
+    m = width // s
+    # one product forms sum_i h_i G_i for every received row at once
+    blocks = local_gen.reshape(dim, s, m).transpose(1, 0, 2).reshape(s, dim * m)
+    mixed = gfq_matmul(np.ascontiguousarray(header[:, cols.start : cols.stop]), blocks, q)
+    mixed = mixed.reshape(len(y), dim, m).transpose(1, 0, 2).reshape(dim, len(y) * m)
+    known = np.arange(len(y) * m)
+    try:
+        word = _solve_known(
+            np.hstack([mixed, local_gen]), known, y[:, n:].reshape(1, -1),
+            known.size + np.arange(width), q,
+        )
+    except ValueError:  # inconsistent: no candidate contains row(Y)
+        return None
+    return word.reshape(s, m).T
+
+
 @dataclass(frozen=True)
 class TrialReport:
     rack: int
@@ -165,6 +207,7 @@ class TrialReport:
     trials: int
     successes: int
     histogram: tuple[tuple[tuple[int, int], int], ...]  # ((rho, t), count) sorted
+    enumerated: int        # trials the solve could not answer, ranked by enumeration
     wall_time: float = field(compare=False)
 
     @property
@@ -196,17 +239,25 @@ def run_trials(
 
     Success means the unique nearest candidate is the transmitted local
     codeword.  The realized (rho, t) pairs are tallied so guarantee
-    sweeps can see which noise levels actually occurred.
+    sweeps can see which noise levels actually occurred.  Each trial is
+    decoded by ``solve_download``; the enumerated candidates are built
+    only for the first trial it cannot answer, but a local code beyond
+    ``budget`` is refused up front either way.
     """
     p = code.params
     if config.packets_per_rack != p.s:
         raise ValueError("config packet count mismatch")
     if config.n_collect < p.r:
         raise ValueError("collector must gather at least r packets")
-    bases, mats = local_candidates(code, j, budget)
+    local = code.local_code(j)
+    if local.codeword_count > budget:
+        raise OracleBudgetError("oracle scale exceeded")
+    local_gen = local.generator_gfq()
+    cols = code.rack_columns(j)
+    candidates = None
     root = SplitMix64(config.seed)
     hist: dict[tuple[int, int], int] = {}
-    successes = 0
+    successes = enumerated = 0
     start = time.perf_counter()
     for trial in range(trials):
         rng = root.spawn(trial)
@@ -214,10 +265,19 @@ def run_trials(
         codeword = code.encode_matrix(message)
         x = transmit_matrix(code, codeword, j)
         out = channel_apply(x, config, rng, p.q)
-        result = decode_subspace_min(bases, mats, out.received, p.q)
-        cols = code.rack_columns(j)
-        sent = codeword[:, cols.start : cols.stop]
-        if not result.is_tie and (result.local_matrix == sent).all():
+        try:
+            got = solve_download(local_gen, p.n, cols, out.received, p.q)
+        except AmbiguousErasureError:  # several nearest candidates: a tie
+            got = None
+        else:
+            if got is None:
+                # module-global calls, so tracers that rebind them see these
+                if candidates is None:
+                    candidates = local_candidates(code, j, budget)
+                enumerated += 1
+                result = decode_subspace_min(*candidates, out.received, p.q)
+                got = None if result.is_tie else result.local_matrix
+        if got is not None and (got == codeword[:, cols.start : cols.stop]).all():
             successes += 1
         key = (out.rho, out.t)
         hist[key] = hist.get(key, 0) + 1
@@ -228,5 +288,6 @@ def run_trials(
         trials=trials,
         successes=successes,
         histogram=tuple(sorted(hist.items())),
+        enumerated=enumerated,
         wall_time=wall,
     )

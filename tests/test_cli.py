@@ -356,6 +356,23 @@ def test_simulate_deterministic(ws, capsys):
     assert "success_rate=1.000000" in kv
 
 
+def test_simulate_budget_and_enumerated_line(ws, capsys):
+    args = ("simulate", "--spec", ws / "tiny.spec", "--rack", "1", "--collect", "3",
+            "--links", "4", "--trials", "200", "--seed", "77")
+    # the local code's 64 candidates are refused up front, solve or not
+    code, out, err = run(capsys, *args, "--budget", "10")
+    assert code == 3 and out == ""
+    assert err == "error: oracle scale exceeded; lower the instance size or use sampled mode\n"
+    # injected packets leave some trials to enumeration; the count stays
+    # out of the kv block
+    code, out, _ = run(capsys, *args, "--terr", "1")
+    assert code == 0
+    table, kv = out.split("--- kv ---", 1)
+    (line,) = [l for l in table.splitlines() if l.startswith("enumerated")]
+    assert int(line.split()[1]) > 0
+    assert "enumerated" not in kv
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_degree_one_field_builds_and_verifies(ws, capsys, q):
     # m = 1: the modulus x would make x = 0, which is never primitive, and

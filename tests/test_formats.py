@@ -288,6 +288,14 @@ _MALFORMED = [
     ("subspace", "arabic_header", "M=" + ARABIC_THREE + " dim=1\n0\n0\n0\n",
      "line 1: bad subspace header"),
     ("subspace", "negative_header", "M=0 dim=-1\n", "line 1: bad subspace header"),
+    # int() also reads underscores and signs; integers are ASCII digits only
+    ("spec", "underscore", _spec("q=1_6"), "line 1: q must be an integer"),
+    ("spec", "sign", _spec("q=+16"), "line 1: q must be an integer"),
+    ("message", "underscore", "w^1_0\nw^2\n", "line 1: expected ASCII digits"),
+    ("message", "sign", "w^1\nw^+3\n", "line 2: expected ASCII digits"),
+    ("message", "comma_sign", "w^1\n1,+0,1\n", "line 2: expected ASCII digits"),
+    ("subspace", "underscore_header", "M=1_8 dim=1\n" + "0\n" * 18,
+     "line 1: bad subspace header"),
 ]
 
 

@@ -1,14 +1,21 @@
 """Download simulator: stream determinism, channel behavior, trial stats."""
 
+import random
+
 import numpy as np
 import pytest
 
+from rankloc import netsim
+from rankloc.codes import build_code
+from rankloc.crisscross import AmbiguousErasureError
+from rankloc.gf import gfq_rank
 from rankloc.netsim import (
     ChannelConfig,
     channel_apply,
     decode_subspace_min,
     local_candidates,
     run_trials,
+    solve_download,
     transmit_matrix,
 )
 from rankloc.rng import SplitMix64, mix64
@@ -224,3 +231,77 @@ def test_run_trials_validation(tiny_code, example2_code):
         run_trials(tiny_code, 1, ChannelConfig(3, 3, 0, 0, 4), 10)
     with pytest.raises(ValueError, match="at least r"):
         run_trials(example2_code, 1, ChannelConfig(3, 1, 0, 0, 4), 10)
+
+
+def _agreement_configs():
+    """(code, rack, config) cases for the solve-versus-enumeration oracle."""
+    tiny = build_code(2, 6, 6, 2, 1, 2)
+    ternary = build_code(3, 4, 4, 2, 1, 2)
+    cases = [
+        # the criterion-7 sweeps and the beyond-guarantee pin
+        (tiny, 1, ChannelConfig(2, 3, 0, 0, 4, seed=41)),
+        (tiny, 2, ChannelConfig(2, 3, 1, 0, 4, seed=2024)),
+        (tiny, 1, ChannelConfig(2, 3, 0, 1, 4, seed=77)),
+    ]
+    pick = random.Random(6)
+    for i in range(24):
+        code = tiny if i % 4 else ternary
+        s = code.params.s
+        rho, t = pick.randrange(3), pick.randrange(3)
+        collect = pick.randrange(max(1, s - rho), s + 3)
+        links = pick.randrange(max(1, t), 6)
+        rack = pick.randrange(1, code.params.mu + 1)
+        cases.append((code, rack, ChannelConfig(s, collect, rho, t, links, seed=pick.getrandbits(64))))
+    return cases
+
+
+def test_solve_agrees_with_enumeration():
+    # the three outcomes of the solve against ranking every candidate:
+    # unique <=> a unique minimum at s - rank Y with the same matrix,
+    # several <=> a tie at s - rank Y, none <=> a minimum beyond s - rank Y
+    seen = {"unique": 0, "tie": 0, "none": 0}
+    for code, j, cfg in _agreement_configs():
+        p = code.params
+        local_gen = code.local_code(j).generator_gfq()
+        cols = code.rack_columns(j)
+        bases, mats = local_candidates(code, j)
+        root = SplitMix64(cfg.seed)
+        nones = successes = 0
+        for trial in range(40):
+            rng = root.spawn(trial)
+            message = [rng.randbelow(code.field.order) for _ in range(p.k)]
+            codeword = code.encode_matrix(message)
+            y = channel_apply(transmit_matrix(code, codeword, j), cfg, rng, p.q).received
+            best = decode_subspace_min(bases, mats, y, p.q)
+            floor = p.s - gfq_rank(y, p.q)
+            try:
+                got = solve_download(local_gen, p.n, cols, y, p.q)
+            except AmbiguousErasureError:
+                seen["tie"] += 1
+                assert best.is_tie and best.distance == floor
+                continue
+            if got is None:
+                seen["none"] += 1
+                nones += 1
+                assert best.distance > floor
+            else:
+                seen["unique"] += 1
+                assert not best.is_tie and best.distance == floor
+                assert (got == best.local_matrix).all()
+            sent = codeword[:, cols.start : cols.stop]
+            successes += not best.is_tie and (best.local_matrix == sent).all()
+        # the solve-first simulator reports what enumeration alone would
+        rep = run_trials(code, j, cfg, 40)
+        assert rep.successes == successes and rep.enumerated == nones
+    assert min(seen.values()) > 0, seen
+
+
+def test_reference_downloads_never_enumerate(example2_code, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-guarantee trial enumerated")
+
+    monkeypatch.setattr(netsim, "local_candidates", refuse)
+    cfg = ChannelConfig(packets_per_rack=3, n_collect=3, rho_max=1, t_max=0, links=6, seed=5)
+    rep = run_trials(example2_code, 2, cfg, 20)
+    assert rep.successes == 20 and rep.enumerated == 0
+    assert {rho for (rho, _), _ in rep.histogram} == {0, 1}
