@@ -7,7 +7,7 @@ lifting to constant-dimension subspace codes, and a noisy-network
 download simulator.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA, get_backend
+from ._kernels import BACKEND
 from .codes import (
     DEFAULT_ORACLE_BUDGET,
     CodeParams,
@@ -15,7 +15,6 @@ from .codes import (
     LocalRankCode,
     OracleBudgetError,
     build_code,
-    enumerate_codewords,
     min_rank_distance,
     rank_distance_bound,
     sampled_min_rank,
@@ -82,7 +81,6 @@ __all__ = [
     "FieldSpec",
     "FieldTower",
     "GabidulinCode",
-    "HAS_NUMBA",
     "LiftedCode",
     "LinearizedPoly",
     "LocalRankCode",
@@ -100,8 +98,6 @@ __all__ = [
     "decode_erasures_batch",
     "decode_min_distance",
     "decode_subspace_min",
-    "enumerate_codewords",
-    "get_backend",
     "gfq_matmul",
     "gfq_rank",
     "gfq_rank_batch",

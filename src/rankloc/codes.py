@@ -15,7 +15,6 @@ whole rack, which is the locality property everything else exploits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -366,11 +365,3 @@ def sampled_min_rank(
     mats = code.field.matrix_batch(code.encode_batch(msgs))
     ranks = gfq_rank_batch(mats, code.field.q)
     return int(ranks.min())
-
-
-def enumerate_codewords(code: _EvaluationCode, budget: int = DEFAULT_ORACLE_BUDGET):
-    """Yield (message tuple, codeword list) pairs; budget-guarded."""
-    if code.codeword_count > budget:
-        raise OracleBudgetError("oracle scale exceeded")
-    for msg in itertools.product(range(code.field.order), repeat=code.k):
-        yield msg, code.encode(msg)

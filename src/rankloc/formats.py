@@ -34,7 +34,9 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
-_DIGITS = "0123456789"
+# the one grid alphabet: symbol v of GF(q) is written _DIGITS[v], so a grid
+# row holds one character per cell for every q <= 36
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -75,6 +77,10 @@ def _read_grid(
             raise FormatError(f"bad {name} character {bad!r}", lineno)
         rows.append([alphabet.index(ch) for ch in line])
     return np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+
+
+def _grid_row(row) -> str:
+    return "".join(_DIGITS[v] for v in row)
 
 
 def _read_kv_lines(text: str) -> tuple[dict[str, str], dict[str, int]]:
@@ -121,6 +127,12 @@ class CodeSpec:
                 nums[key] = parse_uint(values[key])
             except ValueError:
                 raise FormatError(f"{key} must be an integer", where[key]) from None
+        if nums["q"] > len(_DIGITS):
+            raise FormatError(
+                f"q={nums['q']} exceeds {len(_DIGITS)}: grids write one"
+                " character per symbol, 0-9a-z",
+                where["q"],
+            )
         modulus = None
         if "modulus" in values:
             try:
@@ -232,7 +244,7 @@ def format_codeword(
     mat = field.to_matrix(elements)
     lines.append(f"# matrix: {mat.shape[0]} x {mat.shape[1]} over GF({field.q}),"
                  " column t expands element t (low coefficient first)")
-    lines.extend("".join(str(v) for v in row) for row in mat)
+    lines.extend(_grid_row(row) for row in mat)
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +264,7 @@ def parse_codeword(text: str, field: Field, n: int) -> list[int]:
             )
         return elements
     if len(lines) == n and not all(
-        len(line) == n and line.isdigit() for _, line in lines
+        len(line) == n and all(ch in _DIGITS for ch in line) for _, line in lines
     ):
         return _read_elements(lines, field)
     if len(lines) == m:
@@ -320,7 +332,7 @@ def format_received(
     lines.append(f"# {m} x {n} over GF(q); '?' marks an erased cell")
     for i in range(m):
         lines.append(
-            "".join("?" if erased[i, j] else str(values[i, j]) for j in range(n))
+            "".join("?" if erased[i, j] else _DIGITS[values[i, j]] for j in range(n))
         )
     return "\n".join(lines) + "\n"
 
@@ -343,7 +355,7 @@ def format_subspace(
     ambient, dim = basis.shape
     lines = _header("subspace", fingerprint, spec_name)
     lines.append(f"M={ambient} dim={dim}")
-    lines.extend("".join(str(v) for v in row) for row in basis)
+    lines.extend(_grid_row(row) for row in basis)
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,8 @@ from . import _kernels
 
 _TABLE_LIMIT = 1 << 16
 _FACTOR_LIMIT = 1 << 32
+# trial divisions one default-modulus search may make before it refuses
+_SEARCH_DIVISIONS = 50_000
 
 # Primitive polynomials over GF(2), degree 1..16, coefficients low order
 # first.  Degree 9 is x^9 + x^4 + 1.
@@ -142,18 +144,28 @@ def _poly_divmod(a, b, t: GFTables):
     return _poly_trim(quo), _poly_trim(rem)
 
 
+def _trial_divisors(deg: int, q: int):
+    """Every monic polynomial over GF(q) of degree 1 .. deg // 2."""
+    for d in range(1, deg // 2 + 1):
+        for idx in range(q**d):
+            yield _digits(idx, q, d) + [1]
+
+
+# (q, modulus) pairs already proven irreducible, so no field repeats the test
+_IRREDUCIBLE: set[tuple[int, tuple[int, ...]]] = set()
+
+
 def _poly_is_irreducible(mod: Sequence[int], t: GFTables) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
+    key = (t.q, tuple(mod))
+    if key in _IRREDUCIBLE:
+        return True
     deg = len(mod) - 1
     if deg < 1 or mod[-1] == 0:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for idx in range(t.q**d):
-            _, rem = _poly_divmod(mod, _digits(idx, t.q, d) + [1], t)
-            if not rem:
-                return False
+    if not all(_poly_divmod(mod, div, t)[1] for div in _trial_divisors(deg, t.q)):
+        return False
+    _IRREDUCIBLE.add(key)
     return True
 
 
@@ -213,17 +225,31 @@ class FieldSpec:
 
 
 def _search_modulus(q: int, m: int, *, primitive: bool) -> tuple[int, ...]:
-    """First monic irreducible (primitive, if asked) polynomial of degree m."""
+    """First monic irreducible (primitive, if asked) polynomial of degree m.
+
+    Refuses once its trial divisions would pass ``_SEARCH_DIVISIONS``.
+    """
     t = base_tables(q)
+    spent = 0
     for idx in range(q**m):
         cand = tuple(_digits(idx, q, m)) + (1,)
-        if not _poly_is_irreducible(cand, t):
-            continue
-        if not primitive:
-            return cand
-        f = Field(FieldSpec(q, m, cand, None))
-        if f._is_primitive(f.x):
-            return cand
+        for div in _trial_divisors(m, q):
+            spent += 1
+            if spent > _SEARCH_DIVISIONS:
+                raise ValueError(
+                    f"no default modulus for GF({q}^{m}) within"
+                    f" {_SEARCH_DIVISIONS} trial divisions; give modulus= in the spec"
+                )
+            if not _poly_divmod(cand, div, t)[1]:
+                break
+        else:
+            if not primitive:
+                return cand
+            _IRREDUCIBLE.add((q, cand))
+            # no log tables: one primitivity test does not repay building them
+            f = Field(FieldSpec(q, m, cand, None), _table_limit=0)
+            if f._is_primitive(f.x):
+                return cand
     raise ValueError("no irreducible polynomial found")
 
 
@@ -535,7 +561,7 @@ def gfq_rank(mat: np.ndarray, q: int = 2) -> int:
         raise ValueError("matrix entries out of range")
     if 0 in mat.shape:
         return 0
-    return int(_kernels.rank(mat, t.add, t.sub, t.mul, t.inv))
+    return int(_kernels.rank(mat, t.sub, t.mul, t.inv))
 
 
 def gfq_rank_batch(mats: np.ndarray, q: int = 2) -> np.ndarray:
@@ -543,7 +569,7 @@ def gfq_rank_batch(mats: np.ndarray, q: int = 2) -> np.ndarray:
     mats = np.asarray(mats, dtype=np.uint8)
     if mats.ndim != 3:
         raise ValueError("expected a batch of matrices")
-    return np.asarray(_kernels.rank_batch(mats, t.add, t.sub, t.mul, t.inv))
+    return np.asarray(_kernels.rank_batch(mats, t.sub, t.mul, t.inv))
 
 
 def gfq_row_reduce(mat: np.ndarray, q: int = 2, n_pivot_cols: int | None = None):
@@ -562,7 +588,7 @@ def gfq_row_reduce(mat: np.ndarray, q: int = 2, n_pivot_cols: int | None = None)
     mat = np.asarray(mat, dtype=np.uint8)
     if n_pivot_cols is None:
         n_pivot_cols = mat.shape[1]
-    return _kernels.row_reduce(mat, t.add, t.sub, t.mul, t.inv, n_pivot_cols)
+    return _kernels.row_reduce(mat, t.sub, t.mul, t.inv, n_pivot_cols)
 
 
 def gfq_matmul(a: np.ndarray, b: np.ndarray, q: int = 2) -> np.ndarray:

@@ -2,8 +2,6 @@
 
 A linearized polynomial L(x) = sum_i a_i x^(q^i) induces a GF(q)-linear map
 on the field.  We store the sparse map {q-exponent: nonzero coefficient}.
-The q-associate pairs L with the conventional polynomial sum_i a_i x^i,
-coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -81,46 +79,6 @@ class LinearizedPoly:
 
     def evaluate_many(self, xs: Sequence[int]) -> list[int]:
         return [self(x) for x in xs]
-
-    # -- q-associates --------------------------------------------------------
-
-    @classmethod
-    def from_conventional(
-        cls, field: Field, coeffs: Mapping[int, int] | Sequence[int]
-    ) -> "LinearizedPoly":
-        """Degree-i coefficient of a conventional polynomial -> q-exponent i."""
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        return cls(field, {int(d): int(c) for d, c in items})
-
-    def to_conventional(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    @classmethod
-    def from_plain(cls, field: Field, plain: Mapping[int, int]) -> "LinearizedPoly":
-        """Read a plain polynomial whose exponents must all be powers of q.
-
-        The plain exponent q^i becomes the q-exponent i.  Any other nonzero
-        term makes the input inadmissible.
-        """
-        out: dict[int, int] = {}
-        for exp, c in plain.items():
-            if not c:
-                continue
-            e = 0
-            v = int(exp)
-            while v > 1 and v % field.q == 0:
-                v //= field.q
-                e += 1
-            if v != 1:
-                raise ValueError("not a q-polynomial")
-            out[e] = int(c)
-        return cls(field, out)
-
-    def to_plain(self) -> dict[int, int]:
-        return {self.field.q**e: c for e, c in self.coeffs.items()}
 
     def format(self, name: str = "L") -> str:
         if not self.coeffs:

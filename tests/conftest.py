@@ -1,20 +1,12 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rankloc.codes import CodeParams, LocalRankCode, build_code
-from rankloc.gf import Field, FieldSpec, gfq_rank, tower_build
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # touch the jit kernels once so timed tests do not pay compilation
-    gfq_rank(np.eye(3, dtype=np.uint8), 2)
-    gfq_rank(np.eye(3, dtype=np.uint8), 3)
+from rankloc.gf import Field, FieldSpec, tower_build
 
 
 @pytest.fixture(scope="session")

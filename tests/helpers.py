@@ -1,19 +1,37 @@
 """Shared test utilities: independent oracles and random-case generators.
 
-The oracles here deliberately avoid the package's optimized paths: rank by
-schoolbook modular elimination, covers by brute subset enumeration, and
-linearized-polynomial evaluation by direct powering, so tests compare two
-genuinely different computations.
+The oracles here deliberately avoid the package's optimized paths: rank and
+matrix products by schoolbook scalar field arithmetic, covers by brute
+subset enumeration, and linearized-polynomial evaluation by direct
+powering, so tests compare two genuinely different computations.
 """
+
+import functools
 
 import numpy as np
 
+from rankloc import gf
+from rankloc.gf import Field, FieldSpec
 from rankloc.rng import SplitMix64
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_field(q):
+    """GF(q) as a degree-e field over GF(p), on the modulus base_tables uses."""
+    p, e = gf._prime_power(q)
+    return Field(FieldSpec(p, e, gf._search_modulus(p, e, primitive=False)))
+
+
+def _axpy(f, a, c, b):
+    """a - c*b by scalar schoolbook ops: -1 is the constant p - 1."""
+    p = f.tables.q
+    return f.add(a, f._mul_poly(f._mul_poly(p - 1, c), b))
+
+
 def naive_rank(mat, q):
-    """Row reduction with plain modular arithmetic; prime q only."""
-    rows = [list(int(v) % q for v in row) for row in np.asarray(mat)]
+    """Row reduction with schoolbook GF(q) arithmetic, q any prime power."""
+    f = _scalar_field(q)
+    rows = [[int(v) for v in row] for row in np.asarray(mat)]
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank = 0
@@ -24,15 +42,29 @@ def naive_rank(mat, q):
             col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [(v * inv) % q for v in rows[rank]]
+        inv = next(b for b in range(1, q) if f._mul_poly(rows[rank][col], b) == 1)
+        rows[rank] = [f._mul_poly(v, inv) for v in rows[rank]]
         for i in range(m):
             if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
+                c = rows[i][col]
+                rows[i] = [_axpy(f, a, c, b) for a, b in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
     return rank
+
+
+def naive_matmul(a, b, q):
+    """Schoolbook GF(q) matrix product, q any prime power."""
+    f = _scalar_field(q)
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0
+            for t in range(a.shape[1]):
+                acc = f.add(acc, f._mul_poly(int(a[i, t]), int(b[t, j])))
+            out[i, j] = acc
+    return out
 
 
 def cover_oracle(mask):

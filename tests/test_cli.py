@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankloc.cli import main
-from rankloc.formats import CodeSpec
+from rankloc.formats import CodeSpec, parse_codeword, parse_received
 
 REFERENCE_SPEC = """\
 q=2
@@ -387,6 +387,39 @@ def test_degree_one_field_builds_and_verifies(ws, capsys, q):
     assert out.strip().splitlines()[-1] == (
         "d=1 (optimal), local d=1 (MRD), lifted d_S=2, subspace-locality (1,2): PASS"
     )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_grid_round_trip(ws, capsys, q):
+    # symbols from 10 up are written a..f in the grids, one character a cell
+    (ws / "q.spec").write_text(f"q={q}\nm=2\nn=2\nk=1\nr=1\ndelta=1\n")
+    (ws / "msg.txt").write_text(f"{q - 1},{q - 2}\n")
+    (ws / "col2.pat").write_text(".?\n.?\n")
+    spec = ("--spec", ws / "q.spec")
+    assert run(capsys, "encode", *spec, "--message", ws / "msg.txt",
+               "--out", ws / "cw.txt")[0] == 0
+    assert run(capsys, "inject", *spec, "--codeword", ws / "cw.txt",
+               "--pattern", ws / "col2.pat", "--out", ws / "recv.txt")[0] == 0
+    code, out, _ = run(capsys, "decode", *spec, "--received", ws / "recv.txt",
+                       "--out", ws / "dec.txt")
+    assert code == 0, out
+    spec_obj = CodeSpec.from_text((ws / "q.spec").read_text())
+    f = spec_obj.build().field
+    sent = parse_codeword((ws / "cw.txt").read_text(), f, 2)
+    assert parse_codeword((ws / "dec.txt").read_text(), f, 2) == sent
+    values, erased = parse_received((ws / "recv.txt").read_text(), q, 2, 2)
+    assert (erased[:, 1] == 1).all() and not erased[:, 0].any()
+    assert (values[:, 0] == f.to_matrix(sent)[:, 0]).all()
+    rows = (ws / "cw.txt").read_text().splitlines()[-2:]
+    assert all(len(row) == 2 for row in rows)
+    assert any(ch.isalpha() for row in rows for ch in row) == (q > 10)
+
+
+def test_default_modulus_search_refuses(ws, capsys):
+    (ws / "big.spec").write_text("q=13\nm=8\nn=8\nk=2\nr=2\ndelta=1\n")
+    code, out, err = run(capsys, "build", "--spec", ws / "big.spec")
+    assert (code, out) == (3, "")
+    assert "no default modulus for GF(13^8) within 50000 trial divisions" in err
 
 
 def test_bad_spec_reports_reason(ws, capsys):

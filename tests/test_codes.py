@@ -9,7 +9,6 @@ from rankloc.codes import (
     LocalRankCode,
     OracleBudgetError,
     build_code,
-    enumerate_codewords,
     min_rank_distance,
     rank_distance_bound,
     sampled_min_rank,
@@ -224,7 +223,7 @@ def test_min_distance_budget_guard(example2_code):
     with pytest.raises(OracleBudgetError, match="oracle scale"):
         min_rank_distance(example2_code, budget=10**6)
     with pytest.raises(OracleBudgetError):
-        list(enumerate_codewords(example2_code, budget=10))
+        example2_code.codeword_matrices(budget=10)
 
 
 def test_budget_guard_survives_the_cache():
@@ -239,12 +238,13 @@ def test_budget_guard_survives_the_cache():
 
 
 def test_enumerate_codewords(tiny_code):
-    pairs = list(enumerate_codewords(tiny_code))
-    assert len(pairs) == tiny_code.codeword_count == 64**2
-    msg, cw = pairs[0]
-    assert msg == (0, 0) and cw == [0] * 6
-    seen = {tuple(c) for _, c in pairs}
-    assert len(seen) == len(pairs)  # injective: distinct messages, codewords
+    msgs = tiny_code.message_codes()
+    mats = tiny_code.codeword_matrices()
+    assert len(msgs) == len(mats) == tiny_code.codeword_count == 64**2
+    assert (msgs[0] == 0).all() and (mats[0] == 0).all()
+    assert len(np.unique(msgs, axis=0)) == len(msgs)
+    # injective: distinct messages give distinct codewords
+    assert len(np.unique(mats.reshape(len(mats), -1), axis=0)) == len(mats)
 
 
 def test_codeword_matrices_agree_with_encode(tiny_code):

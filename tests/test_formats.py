@@ -249,6 +249,7 @@ _MALFORMED = [
     ("spec", "bad", _spec("q=2x"), "line 1: q must be an integer"),
     ("spec", "superscript", _spec("q=" + SUPERSCRIPT_TWO), "line 1: q must"),
     ("spec", "arabic", _spec("q=" + ARABIC_THREE), "line 1: q must"),
+    ("spec", "q_over_36", _spec("q=37"), "line 1: q=37 exceeds 36"),
     # codewords of n=2 over GF(2^3): 2 element lines or a 3 x 2 digit block
     ("codeword", "width", "01\n011\n10\n", "line 2: expected 2 matrix characters"),
     ("codeword", "rows", "01\n10\n11\n00\n", "found 4 data lines"),

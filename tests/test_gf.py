@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rankloc import gf
 from rankloc.gf import (
     Field,
     FieldSpec,
@@ -117,6 +118,24 @@ def test_default_moduli_pinned():
     }
     for (q, m), modulus in expected.items():
         assert FieldSpec.default(q, m).modulus == modulus
+
+
+@pytest.mark.parametrize("q, m", [(13, 8), (256, 4)])
+def test_default_modulus_search_is_bounded(monkeypatch, q, m):
+    # unbounded, these trial-divide for minutes; the search stops at its bound
+    base_tables(q)
+    made = []
+    divisors = gf._trial_divisors
+
+    def counted(deg, p):
+        for div in divisors(deg, p):
+            made.append(deg)
+            yield div
+
+    monkeypatch.setattr(gf, "_trial_divisors", counted)
+    with pytest.raises(ValueError, match=rf"GF\({q}\^{m}\) within 50000 trial"):
+        FieldSpec.default(q, m)
+    assert len(made) == gf._SEARCH_DIVISIONS + 1
 
 
 def test_base_tables_rejects_non_prime_power():

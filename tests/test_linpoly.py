@@ -132,27 +132,6 @@ def test_root_space_golden(example2_field):
     assert root_space_dim(cube) == 3
 
 
-def test_plain_conversion_round_trip(example2_field):
-    f = example2_field
-    rng = SplitMix64(251)
-    for _ in range(200):
-        poly = rand_poly(rng, f, 4)
-        plain = poly.to_plain()
-        assert all(e in (1, 2, 4, 8, 16) for e in plain)
-        assert LinearizedPoly.from_plain(f, plain) == poly
-    with pytest.raises(ValueError, match="not a q-polynomial"):
-        LinearizedPoly.from_plain(f, {3: 1})
-    # zero coefficients on bad exponents are ignorable
-    assert LinearizedPoly.from_plain(f, {3: 0, 2: 1}).coeffs == {1: 1}
-
-
-def test_conventional_conversion(example2_field):
-    f = example2_field
-    poly = LinearizedPoly.from_conventional(f, [5, 0, 7])
-    assert poly.coeffs == {0: 5, 2: 7}
-    assert poly.to_conventional() == {0: 5, 2: 7}
-
-
 def test_format(example2_field):
     f = example2_field
     poly = LinearizedPoly(f, {0: f.omega, 1: 1})
