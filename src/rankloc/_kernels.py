@@ -5,7 +5,8 @@ reads (subtraction, multiplication and inversion for elimination, addition
 and multiplication for products; see ``gf.base_tables``), so one code path
 serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
-batch of matrices.
+batch of matrices.  The one exception is ``rank_batch`` over GF(2), which
+packs rows into uint64 words and eliminates by XOR.
 """
 
 from __future__ import annotations
@@ -57,13 +58,39 @@ def rank(mat, sub, mul, inv):
     return len(_reduce(mat, sub, mul, inv, mat.shape[1])[1])
 
 
-def rank_batch(mats, sub, mul, inv):
+def _rank_batch_gf2(mats):
+    # rank is invariant under transposition, so pack each matrix's rows
+    # along its shorter side: w bits in ceil(w/64) little-endian uint64
+    # words per row, one pivot step per bit
+    if mats.shape[1] < mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)
+    count, rows, w = mats.shape
+    n_words = -(-w // 64)
+    packed = np.zeros((count, rows, 8 * n_words), dtype=np.uint8)
+    packed[:, :, : -(-w // 8)] = np.packbits(mats, axis=2, bitorder="little")
+    work = packed.view("<u8")
+    rank = np.zeros(count, dtype=np.int64)
+    every = np.arange(count)
+    for col in range(w):
+        bit = np.uint64(1) << np.uint64(col & 63)
+        has_bit = (work[:, :, col >> 6] & bit) != 0
+        has = has_bit.any(axis=1)
+        if not has.any():
+            continue
+        piv = np.argmax(has_bit, axis=1)
+        # XOR the pivot row into every row with this bit, itself included:
+        # the pivot row turns zero and never pivots again, the rest span
+        # the quotient by it
+        work ^= has_bit[:, :, None] * work[every, piv][:, None, :]
+        rank += has
+    return rank
+
+
+def _rank_batch_tables(mats, sub, mul, inv):
     # one elimination driven across the whole batch: per-column pivot
     # search, swap, normalize and clear-below as fancy-indexed table
     # lookups, with an independent pivot cursor r[b] per matrix
-    work = np.array(mats, dtype=np.uint8, copy=True)
-    if work.ndim != 3:
-        raise ValueError("expected a (batch, rows, cols) array")
+    work = mats.copy()
     count, rows, cols = work.shape
     r = np.zeros(count, dtype=np.int64)
     row_idx = np.arange(rows)
@@ -90,6 +117,15 @@ def rank_batch(mats, sub, mul, inv):
         if (r == rows).all():
             break
     return r
+
+
+def rank_batch(mats, sub, mul, inv):
+    mats = np.asarray(mats, dtype=np.uint8)
+    if mats.ndim != 3:
+        raise ValueError("expected a (batch, rows, cols) array")
+    if len(inv) == 2:
+        return _rank_batch_gf2(mats)
+    return _rank_batch_tables(mats, sub, mul, inv)
 
 
 def matmul(a, b, add, mul):

@@ -157,18 +157,29 @@ class _EvaluationCode:
             out = f.add_vec(out, f.mul_vec(messages[:, j][:, None], row[None, :]))
         return out
 
+    def encode_matrices(self, messages: np.ndarray) -> np.ndarray:
+        """(B, k) element codes -> (B, m, n) uint8 codeword arrays."""
+        return self.field.matrix_batch(self.encode_batch(messages))
+
+    def messages_at(self, idx: np.ndarray) -> np.ndarray:
+        """The messages at positions ``idx`` of ``message_codes()``.
+
+        Position i holds the base-q^m digits of i, least significant first.
+        """
+        order = self.field.order
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty((len(idx), self.k), dtype=np.int64)
+        for j in range(self.k):
+            out[:, j] = idx % order
+            idx = idx // order
+        return out
+
     def message_codes(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
         """All q^(mk) messages, lexicographic, zero message first."""
         count = self.codeword_count
         if count > budget:
             raise OracleBudgetError("oracle scale exceeded")
-        order = self.field.order
-        idx = np.arange(count, dtype=np.int64)
-        out = np.empty((count, self.k), dtype=np.int64)
-        for j in range(self.k):
-            out[:, j] = idx % order
-            idx = idx // order
-        return out
+        return self.messages_at(np.arange(count, dtype=np.int64))
 
     def codeword_matrices(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
         """All codewords as a (q^(mk), m, n) uint8 array (cached).
@@ -179,8 +190,7 @@ class _EvaluationCode:
         if self.codeword_count > budget:
             raise OracleBudgetError("oracle scale exceeded")
         if self._cw_mats is None:
-            codes = self.encode_batch(self.message_codes(budget))
-            self._cw_mats = self.field.matrix_batch(codes)
+            self._cw_mats = self.encode_matrices(self.message_codes(budget))
         return self._cw_mats
 
     def generator_gfq(self) -> np.ndarray:
@@ -354,14 +364,15 @@ def sampled_min_rank(
     when the full scan is out of budget.
     """
     rng = SplitMix64(seed)
-    order = code.field.order
     msgs = np.empty((samples, code.k), dtype=np.int64)
     done = 0
+    # draw the missing rows in one block and keep the nonzero ones: the
+    # stream is the row-by-row draw that skips all-zero rows
     while done < samples:
-        row = [rng.randbelow(order) for _ in range(code.k)]
-        if any(row):
-            msgs[done] = row
-            done += 1
-    mats = code.field.matrix_batch(code.encode_batch(msgs))
-    ranks = gfq_rank_batch(mats, code.field.q)
+        rows = rng.randbelow_array(np.full((samples - done) * code.k, code.field.order))
+        rows = rows.astype(np.int64).reshape(samples - done, code.k)
+        rows = rows[rows.any(axis=1)]
+        msgs[done : done + len(rows)] = rows
+        done += len(rows)
+    ranks = gfq_rank_batch(code.encode_matrices(msgs), code.field.q)
     return int(ranks.min())

@@ -117,30 +117,42 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _table_lists(q: int) -> tuple[list, list, list, list]:
+    """``base_tables(q)`` as nested lists: the scalar polynomial helpers
+    index them one int at a time, which lists do far faster than arrays."""
+    t = base_tables(q)
+    return t.add.tolist(), t.sub.tolist(), t.mul.tolist(), t.inv.tolist()
+
+
 def _poly_mul(a: Sequence[int], b: Sequence[int], t: GFTables) -> list[int]:
     if not a or not b:
         return []
+    add, _, mul, _ = _table_lists(t.q)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
+            row = mul[ai]
             for j, bj in enumerate(b):
                 if bj:
-                    out[i + j] = int(t.add[out[i + j], t.mul[ai, bj]])
+                    out[i + j] = add[out[i + j]][row[bj]]
     return _poly_trim(out)
 
 
 def _poly_divmod(a, b, t: GFTables):
+    _, sub, mul, inv = _table_lists(t.q)
     rem = list(a)
     db = len(b) - 1
-    lead_inv = int(t.inv[b[-1]])
+    lead_inv = inv[b[-1]]
     quo = [0] * max(len(rem) - db, 0)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c:
-            f = int(t.mul[c, lead_inv])
+            f = mul[c][lead_inv]
             quo[i - db] = f
-            for j, bj in enumerate(b):
-                rem[i - db + j] = int(t.sub[rem[i - db + j], t.mul[f, bj]])
+            row = mul[f]
+            for j, bj in enumerate(b, i - db):
+                rem[j] = sub[rem[j]][row[bj]]
     return _poly_trim(quo), _poly_trim(rem)
 
 

@@ -17,6 +17,8 @@ a pure function of (seed, trial index).
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -26,6 +28,13 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    # uint64 array arithmetic wraps mod 2^64, as ``mix64`` masks
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -50,6 +59,34 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
+
+    def randbelow_array(self, bounds) -> np.ndarray:
+        """``[randbelow(b) for b in bounds]`` as a uint64 array, drawn in blocks.
+
+        Consumes exactly the draws of that loop, so the stream and the final
+        state match it.  Bounds must lie in [1, 2^64).  Each block runs the
+        remaining positions up to the first rejected draw, then the next
+        block resumes from the draw after it.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64).reshape(-1)
+        if (bounds == 0).any():
+            raise ValueError("n must be positive")
+        # limit = 2^64 - (2^64 mod b); 0 stands for 2^64 (b a power of two)
+        limit = np.uint64(0) - (np.uint64(0) - bounds) % bounds
+        out = np.empty(bounds.size, dtype=np.uint64)
+        done = 0
+        while done < bounds.size:
+            todo = bounds.size - done
+            steps = np.arange(1, todo + 1, dtype=np.uint64)
+            vals = _mix64_array(steps * np.uint64(_GOLDEN) + np.uint64(self._state))
+            lim = limit[done:]
+            rejected = np.nonzero((lim != 0) & (vals >= lim))[0]
+            kept = int(rejected[0]) if rejected.size else todo
+            out[done : done + kept] = vals[:kept] % bounds[done : done + kept]
+            used = kept + 1 if rejected.size else kept
+            self._state = (self._state + used * _GOLDEN) & _MASK
+            done += kept
+        return out
 
     def sample_indices(self, population: int, count: int) -> list[int]:
         """``count`` distinct indices from range(population), ascending."""

@@ -22,7 +22,6 @@ import numpy as np
 from .codes import (
     DEFAULT_ORACLE_BUDGET,
     LocalRankCode,
-    OracleBudgetError,
     _EvaluationCode,
     min_rank_distance,
 )
@@ -168,37 +167,23 @@ class LiftedCode:
 
 def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """``pairs`` index pairs i != j from range(count), drawing i then j each."""
-    drawn = np.empty((2, pairs), dtype=np.int64)
-    for t in range(pairs):
-        i = rng.randbelow(count)
-        j = rng.randbelow(count - 1)
-        drawn[:, t] = i, j + (j >= i)
-    return drawn[0], drawn[1]
+    drawn = rng.randbelow_array(np.tile([count, count - 1], pairs)).astype(np.int64)
+    i, j = drawn[0::2], drawn[1::2]
+    return i, j + (j >= i)
 
 
 def _pairwise_min_distance(
-    mats: np.ndarray,
-    n: int,
-    cols: Sequence[int],
-    q: int,
-    sample_pairs: int | None,
-    seed: int,
+    left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int
 ) -> int:
-    """Minimum pairwise subspace distance of the lifted (B, m, w) blocks.
+    """Minimum subspace distance between lifted (B, m, w) block pairs.
 
-    Exhaustive when sample_pairs is None, otherwise over sampled pairs
-    (an upper bound on the true minimum); only the compared blocks are
-    lifted (see ``lift_batch``).
+    Pair t compares left[t] with right[t]; both are lifted with the unit
+    vectors ``cols`` (see ``lift_batch``) and ranked in one batch call.
     """
-    count = len(mats)
-    if count < 2:
+    if len(left) == 0:
         raise ValueError("degenerate")
-    if sample_pairs is None:
-        i, j = np.triu_indices(count, 1)
-    else:
-        i, j = _sample_pairs(SplitMix64(seed), count, sample_pairs)
-    left, right = (lift_batch(mats[idx], n, cols) for idx in (i, j))
-    return int(subspace_distance_batch(left, right, q).min())
+    lifted = (lift_batch(mats, n, cols) for mats in (left, right))
+    return int(subspace_distance_batch(*lifted, q).min())
 
 
 def min_subspace_distance(
@@ -221,14 +206,11 @@ def min_subspace_distance(
     mats = lifted.source.codeword_matrices(budget)
     n = lifted.codeword_dim
     bases = lift_batch(mats, n, range(n))
-    t = base_tables(lifted.q)
-    for i, j in zip(*_sample_pairs(SplitMix64(seed), len(bases), cross_check_pairs)):
-        ds = subspace_distance(
-            Subspace(q=lifted.q, basis=bases[i]), Subspace(q=lifted.q, basis=bases[j])
-        )
-        dr = gfq_rank(t.sub[mats[i], mats[j]], lifted.q)
-        if ds != 2 * dr:
-            raise RuntimeError("distance cross-check failed")
+    i, j = _sample_pairs(SplitMix64(seed), len(bases), cross_check_pairs)
+    ds = subspace_distance_batch(bases[i], bases[j], lifted.q)
+    dr = gfq_rank_batch(base_tables(lifted.q).sub[mats[i], mats[j]], lifted.q)
+    if (ds != 2 * dr).any():
+        raise RuntimeError("distance cross-check failed")
     # zero is a codeword of any linear source, so distances from it alone
     # already reach the code minimum
     from_zero = int(subspace_distance_batch(bases[1:], bases[0], lifted.q).min())
@@ -296,9 +278,12 @@ def verify_subspace_locality(
     block is no wider than r+delta-1 basis vectors and the projected
     family's minimum subspace distance reaches twice the source's local
     distance guarantee; every projected codeword keeps full dimension by
-    construction.  The projected family is enumerated through the block's
-    local code; when the pair count exceeds ``max_pairs`` the distance
-    scan falls back to sampling and the report says so.
+    construction.  The distance scan is exhaustive over the block's local
+    code when it has at most ``budget`` codewords and ``max_pairs`` pairs.
+    Otherwise it compares ``sample_pairs`` seeded pairs and the report says
+    so: pairs of local codewords when the code is within budget, built
+    from their message indices, and otherwise pairs among ``sample_pairs``
+    random messages.  Only the compared words are encoded and lifted.
     """
     src = lifted.source
     if not isinstance(src, LocalRankCode):
@@ -310,29 +295,28 @@ def verify_subspace_locality(
         width = cols.stop - cols.start
         size_ok = width <= p.r + p.delta - 1
         local = src.local_code(j)
-        try:
-            local_mats = local.codeword_matrices(budget)
-            enumerated = True
-        except OracleBudgetError:
-            rng = SplitMix64(seed * 7919 + j)
-            msgs = np.array(
-                [
-                    [rng.randbelow(src.field.order) for _ in range(local.k)]
-                    for _ in range(sample_pairs)
-                ],
-                dtype=np.int64,
-            )
-            local_mats = local.field.matrix_batch(local.encode_batch(msgs))
-            enumerated = False
+        count = local.codeword_count
         # the projection of a lifted basis onto the block is the block's
         # local codeword under distinct unit vectors of GF(q)^n, one per
         # column, so it always keeps the full dimension: dim_ok holds by
         # construction and is not recomputed
-        n_pairs = len(local_mats) * (len(local_mats) - 1) // 2
-        exact = enumerated and n_pairs <= max_pairs
-        dist = _pairwise_min_distance(
-            local_mats, p.n, cols, p.q, None if exact else sample_pairs, seed + j
-        )
+        exact = count <= budget and count * (count - 1) // 2 <= max_pairs
+        if exact:
+            mats = local.codeword_matrices(budget)
+            left, right = (mats[idx] for idx in np.triu_indices(count, 1))
+        else:
+            if count <= budget:
+                # index i stands for local codeword i of the enumeration
+                i, i2 = _sample_pairs(SplitMix64(seed + j), count, sample_pairs)
+                pair_msgs = local.messages_at(i), local.messages_at(i2)
+            else:
+                rng = SplitMix64(seed * 7919 + j)
+                drawn = rng.randbelow_array(np.full(sample_pairs * local.k, src.field.order))
+                pool = drawn.astype(np.int64).reshape(sample_pairs, local.k)
+                i, i2 = _sample_pairs(SplitMix64(seed + j), sample_pairs, sample_pairs)
+                pair_msgs = pool[i], pool[i2]
+            left, right = (local.encode_matrices(msgs) for msgs in pair_msgs)
+        dist = _pairwise_min_distance(left, right, p.n, cols, p.q)
         blocks.append(
             BlockLocality(
                 block=j,

@@ -247,6 +247,16 @@ def test_enumerate_codewords(tiny_code):
     assert len(np.unique(mats.reshape(len(mats), -1), axis=0)) == len(mats)
 
 
+def test_messages_at_indexes_message_codes(tiny_code):
+    # the digit expansion behind message_codes, at chosen indices only
+    local = tiny_code.local_code(2)
+    idx = np.array([0, 63, 1, 17, 17, 40])
+    assert (local.messages_at(idx) == local.message_codes()[idx]).all()
+    assert (tiny_code.messages_at(idx) == tiny_code.message_codes()[idx]).all()
+    words = local.encode_matrices(local.messages_at(idx))
+    assert (words == local.codeword_matrices()[idx]).all()
+
+
 def test_codeword_matrices_agree_with_encode(tiny_code):
     mats = tiny_code.codeword_matrices()
     msgs = tiny_code.message_codes()

@@ -6,7 +6,7 @@ import pytest
 
 import rankloc
 from rankloc import _kernels
-from rankloc.gf import gfq_matmul, gfq_rank, gfq_rank_batch, gfq_row_reduce
+from rankloc.gf import base_tables, gfq_matmul, gfq_rank, gfq_rank_batch, gfq_row_reduce
 from rankloc.rng import SplitMix64
 
 from helpers import naive_matmul, naive_rank, rand_matrix
@@ -56,6 +56,32 @@ def test_rank_batch_matches_scalar():
     batch = gfq_rank_batch(mats, 2)
     for i in range(64):
         assert batch[i] == gfq_rank(mats[i].copy(), 2)
+
+
+def _gf2_stack(seed, count, rows, cols):
+    """Random GF(2) stack with every third matrix zero and every third of
+    rank <= 2, so rank-deficient cases are common."""
+    gen = np.random.default_rng(seed)
+    mats = gen.integers(0, 2, size=(count, rows, cols), dtype=np.uint8)
+    mats[0::3] = 0
+    thin = gen.integers(0, 2, size=(count, rows, 2)) @ gen.integers(0, 2, size=(count, 2, cols))
+    mats[1::3] = (thin % 2)[1::3]
+    return mats
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(3, 9), (9, 3), (6, 6), (64, 64), (100, 64), (65, 130), (130, 65), (0, 4), (4, 0)],
+)
+def test_packed_gf2_rank_batch_matches_table_path(rows, cols):
+    # GF(2) stacks take the packed-word elimination; the table-driven one
+    # every other q uses is the oracle
+    t = base_tables(2)
+    mats = _gf2_stack(rows * 1000 + cols, 30, rows, cols)
+    packed = _kernels.rank_batch(mats, t.sub, t.mul, t.inv)
+    table = _kernels._rank_batch_tables(mats, t.sub, t.mul, t.inv)
+    assert packed.tolist() == table.tolist()
+    assert (packed[0::3] == 0).all()
 
 
 def test_kernels_are_looked_up_at_call_time(monkeypatch):

@@ -54,6 +54,28 @@ def test_splitmix_randbelow_bounds_and_coverage():
         rng.randbelow(0)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [[512] * 300, [262144, 262143] * 150, [2**63 + 1] * 200],
+    ids=["512", "262144,262143", "2^63+1"],
+)
+def test_randbelow_array_is_the_scalar_stream(bounds):
+    # same values, same number of draws; 2^63 + 1 rejects about half of them
+    draws_per_step = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
+    for seed in (0, 7, (1 << 64) - 1):
+        scalar, block = SplitMix64(seed), SplitMix64(seed)
+        expected = [scalar.randbelow(b) for b in bounds]
+        assert block.randbelow_array(bounds).tolist() == expected
+        assert block._state == scalar._state
+        draws = (block._state - block.seed) * draws_per_step % (1 << 64)
+        if bounds[0] == 2**63 + 1:
+            assert draws > 1.5 * len(bounds)
+        else:
+            assert draws == len(bounds)
+    with pytest.raises(ValueError):
+        SplitMix64(0).randbelow_array([3, 0])
+
+
 def test_splitmix_sample_indices():
     rng = SplitMix64(9)
     for _ in range(100):

@@ -157,11 +157,26 @@ def test_min_subspace_distance_tiny(tiny_code):
     assert min_subspace_distance(lifted) == 8  # == 2 * min rank distance 4
 
 
+def test_min_subspace_distance_cross_check_fires(tiny_code, monkeypatch):
+    # a rank kernel that miscounts codeword differences breaks d_S = 2 d_R
+    from rankloc import subspace
+
+    real = subspace.gfq_rank_batch
+
+    def off_by_one_on_differences(mats, q=2):
+        return real(mats, q) + (mats.shape[1] == tiny_code.field.m)
+
+    monkeypatch.setattr(subspace, "gfq_rank_batch", off_by_one_on_differences)
+    with pytest.raises(RuntimeError, match="distance cross-check failed"):
+        min_subspace_distance(LiftedCode(tiny_code))
+
+
 def test_min_subspace_distance_degenerate(tiny_code):
     from rankloc.subspace import _pairwise_min_distance
 
+    no_pairs = np.zeros((0, 6, 6), np.uint8)
     with pytest.raises(ValueError, match="degenerate"):
-        _pairwise_min_distance(np.zeros((1, 6, 6), np.uint8), 6, range(6), 2, None, 0)
+        _pairwise_min_distance(no_pairs, no_pairs, 6, range(6), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +222,19 @@ def test_locality_sampled_mode(example2_code):
         assert b.projected_distance >= b.required_distance
     # seeded sample: block 1's observed minimum stays above the true 4
     assert [b.projected_distance for b in report.blocks] == [6, 4, 4]
+
+
+def test_locality_sampled_distances_pinned(example2_code):
+    # the values of enumerating every local codeword and sampling pairs
+    # among them, which drawing the pair indices first must reproduce;
+    # with budget=1000 the local codes are over budget and the pairs come
+    # from random messages instead
+    lifted = LiftedCode(example2_code)
+    within = verify_subspace_locality(lifted, sample_pairs=20, seed=5)
+    assert [b.projected_distance for b in within.blocks] == [6, 6, 6]
+    over = verify_subspace_locality(lifted, budget=1000, sample_pairs=50, seed=2)
+    assert [b.projected_distance for b in over.blocks] == [4, 4, 6]
+    assert not within.exact and not over.exact
 
 
 def test_locality_rejects_plain_codes(tiny_code):
