@@ -39,6 +39,7 @@ from .gf import (
     gfq_matmul,
     gfq_rank,
     gfq_rank_batch,
+    gfq_rank_codes,
     gfq_row_reduce,
     tower_build,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "gfq_matmul",
     "gfq_rank",
     "gfq_rank_batch",
+    "gfq_rank_codes",
     "gfq_row_reduce",
     "interpolate",
     "lift",

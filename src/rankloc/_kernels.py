@@ -5,8 +5,9 @@ reads (subtraction, multiplication and inversion for elimination, addition
 and multiplication for products; see ``gf.base_tables``), so one code path
 serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
-batch of matrices.  The one exception is ``rank_batch`` over GF(2), which
-packs rows into uint64 words and eliminates by XOR.
+batch of matrices.  The one exception is GF(2): ``rank_words`` ranks
+vectors packed as uint64 words by a leading-bit elimination, and
+``rank_batch`` packs GF(2) stacks up to 64 bits wide into such words.
 """
 
 from __future__ import annotations
@@ -58,32 +59,34 @@ def rank(mat, sub, mul, inv):
     return len(_reduce(mat, sub, mul, inv, mat.shape[1])[1])
 
 
-def _rank_batch_gf2(mats):
-    # rank is invariant under transposition, so pack each matrix's rows
-    # along its shorter side: w bits in ceil(w/64) little-endian uint64
-    # words per row, one pivot step per bit
-    if mats.shape[1] < mats.shape[2]:
-        mats = mats.transpose(0, 2, 1)
-    count, rows, w = mats.shape
-    n_words = -(-w // 64)
-    packed = np.zeros((count, rows, 8 * n_words), dtype=np.uint8)
-    packed[:, :, : -(-w // 8)] = np.packbits(mats, axis=2, bitorder="little")
-    work = packed.view("<u8")
-    rank = np.zeros(count, dtype=np.int64)
-    every = np.arange(count)
-    for col in range(w):
-        bit = np.uint64(1) << np.uint64(col & 63)
-        has_bit = (work[:, :, col >> 6] & bit) != 0
-        has = has_bit.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(has_bit, axis=1)
-        # XOR the pivot row into every row with this bit, itself included:
-        # the pivot row turns zero and never pivots again, the rest span
-        # the quotient by it
-        work ^= has_bit[:, :, None] * work[every, piv][:, None, :]
-        rank += has
+def rank_words(words):
+    """GF(2) ranks of a (B, rows) batch of vector sets, one uint64 word each.
+
+    Each step takes every matrix's largest word: its leading bit is the
+    highest left in the matrix.  XOR with it lowers exactly the words that
+    carry that bit, itself to zero, and raises every other word, so
+    ``min(w, w ^ top)`` clears the bit from the matrix and the quotient
+    keeps the rest of the span.  A nonzero top adds one to the rank; after
+    at most min(rows, bits) steps every word is zero.
+    """
+    # rows-major, so each step's max and XOR run along the batch
+    work = np.array(np.asarray(words, dtype=np.uint64).T, order="C")
+    rank = np.zeros(work.shape[1], dtype=np.int64)
+    for _ in range(work.shape[0]):
+        top = work.max(axis=0)
+        if not top.any():
+            break
+        np.minimum(work, work ^ top, out=work)
+        rank += top != 0
     return rank
+
+
+def _pack_words(mats):
+    # (B, rows, w <= 64) bits -> (B, rows) uint64 words, bit i = column i
+    count, rows, w = mats.shape
+    packed = np.zeros((count, rows, 8), dtype=np.uint8)
+    packed[:, :, : -(-w // 8)] = np.packbits(mats, axis=2, bitorder="little")
+    return packed.view("<u8")[:, :, 0]
 
 
 def _rank_batch_tables(mats, sub, mul, inv):
@@ -123,8 +126,12 @@ def rank_batch(mats, sub, mul, inv):
     mats = np.asarray(mats, dtype=np.uint8)
     if mats.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) array")
-    if len(inv) == 2:
-        return _rank_batch_gf2(mats)
+    # GF(2) stacks up to 64 bits on their shorter side (rank is invariant
+    # under transposition) go to the word elimination
+    if len(inv) == 2 and min(mats.shape[1:]) <= 64:
+        if mats.shape[1] < mats.shape[2]:
+            mats = mats.transpose(0, 2, 1)
+        return rank_words(_pack_words(mats))
     return _rank_batch_tables(mats, sub, mul, inv)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import Field, FieldSpec, FieldTower, gfq_rank, gfq_rank_batch, tower_build
+from .gf import Field, FieldSpec, FieldTower, gfq_rank, gfq_rank_codes, tower_build
 from .linpoly import LinearizedPoly
 from .rng import SplitMix64
 
@@ -103,7 +103,7 @@ class _EvaluationCode:
         self._gen = [
             [field.frobenius(p, e) for p in self.eval_points] for e in self.exponents
         ]
-        self._cw_mats: np.ndarray | None = None
+        self._cw_codes: np.ndarray | None = None
         self._gen_gfq: np.ndarray | None = None
 
     @property
@@ -157,10 +157,6 @@ class _EvaluationCode:
             out = f.add_vec(out, f.mul_vec(messages[:, j][:, None], row[None, :]))
         return out
 
-    def encode_matrices(self, messages: np.ndarray) -> np.ndarray:
-        """(B, k) element codes -> (B, m, n) uint8 codeword arrays."""
-        return self.field.matrix_batch(self.encode_batch(messages))
-
     def messages_at(self, idx: np.ndarray) -> np.ndarray:
         """The messages at positions ``idx`` of ``message_codes()``.
 
@@ -181,17 +177,21 @@ class _EvaluationCode:
             raise OracleBudgetError("oracle scale exceeded")
         return self.messages_at(np.arange(count, dtype=np.int64))
 
-    def codeword_matrices(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
-        """All codewords as a (q^(mk), m, n) uint8 array (cached).
+    def codeword_codes(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
+        """All codewords as a (q^(mk), n) array of element codes (cached).
 
         The budget is checked on every call, so a cache filled under a
         larger budget never answers a smaller one.
         """
         if self.codeword_count > budget:
             raise OracleBudgetError("oracle scale exceeded")
-        if self._cw_mats is None:
-            self._cw_mats = self.encode_matrices(self.message_codes(budget))
-        return self._cw_mats
+        if self._cw_codes is None:
+            self._cw_codes = self.encode_batch(self.message_codes(budget))
+        return self._cw_codes
+
+    def codeword_matrices(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
+        """All codewords as a (q^(mk), m, n) uint8 array, budget as above."""
+        return self.field.matrix_batch(self.codeword_codes(budget))
 
     def generator_gfq(self) -> np.ndarray:
         """GF(q) generator: (m*k) x (m*n), codewords flattened column-major.
@@ -248,6 +248,7 @@ class LocalRankCode(_EvaluationCode):
             params.s * j + i for j in range(params.k // params.r) for i in range(params.r)
         ]
         self._init_eval(f, tower.product_points(), exps)
+        self._local_codes: dict[int, GabidulinCode] = {}
 
     @property
     def q(self) -> int:
@@ -314,8 +315,10 @@ class LocalRankCode(_EvaluationCode):
         return LinearizedPoly(f, coeffs)
 
     def local_code(self, j: int) -> GabidulinCode:
-        """The (r+delta-1, r) Gabidulin code living on rack j's columns."""
-        return GabidulinCode(self.field, self.rack_points(j), self.r)
+        """The (r+delta-1, r) Gabidulin code living on rack j's columns (cached)."""
+        if j not in self._local_codes:
+            self._local_codes[j] = GabidulinCode(self.field, self.rack_points(j), self.r)
+        return self._local_codes[j]
 
     def __repr__(self) -> str:
         p = self.params
@@ -350,9 +353,8 @@ def min_rank_distance(code: _EvaluationCode, budget: int = DEFAULT_ORACLE_BUDGET
     Linear code, so this is the true minimum distance.  Refuses to scan
     more than ``budget`` codewords.
     """
-    mats = code.codeword_matrices(budget)
-    ranks = gfq_rank_batch(mats[1:], code.field.q)
-    return int(ranks.min())
+    f = code.field
+    return int(gfq_rank_codes(code.codeword_codes(budget)[1:], f.q, f.m).min())
 
 
 def sampled_min_rank(
@@ -374,5 +376,5 @@ def sampled_min_rank(
         rows = rows[rows.any(axis=1)]
         msgs[done : done + len(rows)] = rows
         done += len(rows)
-    ranks = gfq_rank_batch(code.encode_matrices(msgs), code.field.q)
-    return int(ranks.min())
+    f = code.field
+    return int(gfq_rank_codes(code.encode_batch(msgs), f.q, f.m).min())

@@ -90,6 +90,21 @@ def _digits(v: int, base: int, count: int) -> list[int]:
     return out
 
 
+def _digit_rows(codes: np.ndarray, q: int, count: int) -> np.ndarray:
+    """(..., n) base-q codes -> (..., count, n) uint8 digits, least first.
+
+    Row i of the new axis holds digit i of every code, so an (n,) vector of
+    element codes becomes its m x n coordinate matrix.
+    """
+    rest = np.asarray(codes, dtype=np.int64)
+    out = np.empty(rest.shape[:-1] + (count, rest.shape[-1]), dtype=np.uint8)
+    # one divmod by the scalar q per digit: faster than dividing by a
+    # broadcast row of powers of q, and no power can wrap int64
+    for i in range(count):
+        rest, out[..., i, :] = np.divmod(rest, q)
+    return out
+
+
 def parse_uint(text: str) -> int:
     """A decimal integer of ASCII digits only, surrounding whitespace stripped.
 
@@ -507,6 +522,13 @@ class Field:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._digitwise(self.tables.add, a, b)
+
+    def sub_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._digitwise(self.tables.sub, a, b)
+
+    def _digitwise(self, table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # GF(q^m) addition and subtraction act digit by digit over GF(q)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.q == 2:
@@ -514,9 +536,9 @@ class Field:
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         qa, qb = a.copy(), b.copy()
         scale = 1
-        add = self.tables.add.astype(np.int64)
+        table = table.astype(np.int64)
         for _ in range(self.m):
-            out += add[qa % self.q, qb % self.q] * scale
+            out += table[qa % self.q, qb % self.q] * scale
             qa //= self.q
             qb //= self.q
             scale *= self.q
@@ -531,11 +553,7 @@ class Field:
             raise ValueError("expected a flat sequence of elements")
         if vals.size and (vals.min() < 0 or vals.max() >= self.order):
             raise ValueError("element out of range")
-        out = np.empty((self.m, vals.size), dtype=np.uint8)
-        for i in range(self.m):
-            out[i] = (vals % self.q).astype(np.uint8)
-            vals = vals // self.q
-        return out
+        return _digit_rows(vals, self.q, self.m)
 
     def from_matrix(self, mat: np.ndarray) -> list[int]:
         mat = np.asarray(mat)
@@ -550,13 +568,7 @@ class Field:
 
     def matrix_batch(self, codes: np.ndarray) -> np.ndarray:
         """Unpack a (B, n) array of element codes into (B, m, n) digit arrays."""
-        codes = np.asarray(codes, dtype=np.int64)
-        out = np.empty((codes.shape[0], self.m, codes.shape[1]), dtype=np.uint8)
-        work = codes.copy()
-        for i in range(self.m):
-            out[:, i, :] = (work % self.q).astype(np.uint8)
-            work //= self.q
-        return out
+        return _digit_rows(codes, self.q, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +594,25 @@ def gfq_rank_batch(mats: np.ndarray, q: int = 2) -> np.ndarray:
     if mats.ndim != 3:
         raise ValueError("expected a batch of matrices")
     return np.asarray(_kernels.rank_batch(mats, t.sub, t.mul, t.inv))
+
+
+def gfq_rank_codes(codes: np.ndarray, q: int, width: int) -> np.ndarray:
+    """Ranks of a (B, rows) batch of vector sets packed as base-q ints.
+
+    Entry (b, i) is vector i of set b, a vector of GF(q)^width with digit d
+    as coordinate d: an element code of GF(q^m) is its coordinate column
+    with width m.  Over GF(2) the codes already are the words that
+    ``_kernels.rank_words`` eliminates; every other q expands the digits
+    once and takes the table path.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2:
+        raise ValueError("expected a (batch, rows) array of codes")
+    if codes.size and (codes.min() < 0 or codes.max() >= q**width):
+        raise ValueError("code out of range")
+    if q == 2:
+        return _kernels.rank_words(codes.astype(np.uint64))
+    return gfq_rank_batch(_digit_rows(codes, q, width), q)
 
 
 def gfq_row_reduce(mat: np.ndarray, q: int = 2, n_pivot_cols: int | None = None):

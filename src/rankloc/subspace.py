@@ -25,7 +25,7 @@ from .codes import (
     _EvaluationCode,
     min_rank_distance,
 )
-from .gf import base_tables, gfq_rank, gfq_rank_batch, gfq_row_reduce
+from .gf import gfq_rank, gfq_rank_batch, gfq_rank_codes, gfq_row_reduce
 from .rng import SplitMix64
 
 
@@ -172,18 +172,28 @@ def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, 
     return i, j + (j >= i)
 
 
-def _pairwise_min_distance(
-    left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int
-) -> int:
-    """Minimum subspace distance between lifted (B, m, w) block pairs.
+def _lifted_distances(
+    left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int, m: int
+) -> np.ndarray:
+    """Subspace distances between lifted (B, w) codeword-code blocks.
 
-    Pair t compares left[t] with right[t]; both are lifted with the unit
-    vectors ``cols`` (see ``lift_batch``) and ranked in one batch call.
+    The code form of ``lift_batch``: column i of a block, lifted with unit
+    vector cols[i] of GF(q)^n on top, is the vector of GF(q)^(n+m) packed
+    as q^cols[i] + code * q^n.  Pair t stacks left[t] with right[t], and
+    all B stacked pairs are ranked in one batch call.
     """
+    units = q ** np.asarray(cols, dtype=np.int64)
+    stacked = np.hstack([block * q**n + units for block in (left, right)])
+    return 2 * gfq_rank_codes(stacked, q, n + m) - 2 * len(units)
+
+
+def _pairwise_min_distance(
+    left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int, m: int
+) -> int:
+    """Minimum of ``_lifted_distances`` over at least one pair."""
     if len(left) == 0:
         raise ValueError("degenerate")
-    lifted = (lift_batch(mats, n, cols) for mats in (left, right))
-    return int(subspace_distance_batch(*lifted, q).min())
+    return int(_lifted_distances(left, right, n, cols, q, m).min())
 
 
 def min_subspace_distance(
@@ -201,19 +211,22 @@ def min_subspace_distance(
     """
     if lifted.codeword_count < 2:
         raise ValueError("degenerate")
-    primary = 2 * min_rank_distance(lifted.source, budget)
+    src = lifted.source
+    primary = 2 * min_rank_distance(src, budget)
 
-    mats = lifted.source.codeword_matrices(budget)
-    n = lifted.codeword_dim
-    bases = lift_batch(mats, n, range(n))
-    i, j = _sample_pairs(SplitMix64(seed), len(bases), cross_check_pairs)
-    ds = subspace_distance_batch(bases[i], bases[j], lifted.q)
-    dr = gfq_rank_batch(base_tables(lifted.q).sub[mats[i], mats[j]], lifted.q)
+    f = src.field
+    codes = src.codeword_codes(budget)
+    n = src.n
+    i, j = _sample_pairs(SplitMix64(seed), len(codes), cross_check_pairs)
+    ds = _lifted_distances(codes[i], codes[j], n, range(n), f.q, f.m)
+    dr = gfq_rank_codes(f.sub_vec(codes[i], codes[j]), f.q, f.m)
     if (ds != 2 * dr).any():
         raise RuntimeError("distance cross-check failed")
     # zero is a codeword of any linear source, so distances from it alone
     # already reach the code minimum
-    from_zero = int(subspace_distance_batch(bases[1:], bases[0], lifted.q).min())
+    rest = codes[1:]
+    zero = np.broadcast_to(codes[0], rest.shape)
+    from_zero = int(_lifted_distances(rest, zero, n, range(n), f.q, f.m).min())
     if from_zero != primary:
         raise RuntimeError("distance cross-check failed")
     return primary
@@ -302,8 +315,8 @@ def verify_subspace_locality(
         # construction and is not recomputed
         exact = count <= budget and count * (count - 1) // 2 <= max_pairs
         if exact:
-            mats = local.codeword_matrices(budget)
-            left, right = (mats[idx] for idx in np.triu_indices(count, 1))
+            codes = local.codeword_codes(budget)
+            left, right = (codes[idx] for idx in np.triu_indices(count, 1))
         else:
             if count <= budget:
                 # index i stands for local codeword i of the enumeration
@@ -315,8 +328,8 @@ def verify_subspace_locality(
                 pool = drawn.astype(np.int64).reshape(sample_pairs, local.k)
                 i, i2 = _sample_pairs(SplitMix64(seed + j), sample_pairs, sample_pairs)
                 pair_msgs = pool[i], pool[i2]
-            left, right = (local.encode_matrices(msgs) for msgs in pair_msgs)
-        dist = _pairwise_min_distance(left, right, p.n, cols, p.q)
+            left, right = (local.encode_batch(msgs) for msgs in pair_msgs)
+        dist = _pairwise_min_distance(left, right, p.n, cols, p.q, p.m)
         blocks.append(
             BlockLocality(
                 block=j,

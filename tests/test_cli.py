@@ -315,6 +315,26 @@ def test_verify_reference_sampled(ws, capsys):
     )
 
 
+def test_verify_sampled_ranks_codes_without_unpacking(ws, capsys, monkeypatch):
+    # sampled verify ranks the encoder's element codes as they stand
+    from rankloc.gf import Field
+
+    calls = []
+    unpack = Field.matrix_batch
+
+    def counted(self, codes):
+        calls.append(codes.shape)
+        return unpack(self, codes)
+
+    monkeypatch.setattr(Field, "matrix_batch", counted)
+    code, out, _ = run(
+        capsys, "verify", "--spec", ws / "ref.spec", "--mode", "sampled",
+        "--samples", "300", "--seed", "1",
+    )
+    assert code == 0 and out.endswith("PASS (sampled)\n")
+    assert calls == []
+
+
 def test_verify_reference_exact_overruns_budget(ws, capsys):
     code, _, err = run(capsys, "verify", "--spec", ws / "ref.spec")
     assert code == 3

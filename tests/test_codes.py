@@ -155,6 +155,16 @@ def test_local_code_is_full_length_restriction(example2_code, tiny_code):
 # linearity and generator matrix
 
 
+def test_local_code_is_cached(example2_code):
+    # one Gabidulin code per rack, so its generator and codeword caches last
+    local = example2_code.local_code(2)
+    assert example2_code.local_code(2) is local
+    assert local.generator_gfq() is example2_code.local_code(2).generator_gfq()
+    assert example2_code.local_code(3) is not local
+    with pytest.raises(ValueError, match="rack index"):
+        example2_code.local_code(4)
+
+
 def test_encode_is_linear(example2_code):
     code = example2_code
     f = code.field
@@ -253,8 +263,8 @@ def test_messages_at_indexes_message_codes(tiny_code):
     idx = np.array([0, 63, 1, 17, 17, 40])
     assert (local.messages_at(idx) == local.message_codes()[idx]).all()
     assert (tiny_code.messages_at(idx) == tiny_code.message_codes()[idx]).all()
-    words = local.encode_matrices(local.messages_at(idx))
-    assert (words == local.codeword_matrices()[idx]).all()
+    words = local.encode_batch(local.messages_at(idx))
+    assert (words == local.codeword_codes()[idx]).all()
 
 
 def test_codeword_matrices_agree_with_encode(tiny_code):

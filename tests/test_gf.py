@@ -13,6 +13,8 @@ from rankloc.gf import (
     base_tables,
     gfq_matmul,
     gfq_rank,
+    gfq_rank_batch,
+    gfq_rank_codes,
     gfq_row_reduce,
     tower_build,
 )
@@ -332,6 +334,31 @@ def test_add_vec_odd_characteristic():
     av = f.add_vec(a, b)
     for i in range(128):
         assert av[i] == f.add(int(a[i]), int(b[i]))
+
+
+@pytest.mark.parametrize("q, m", [(2, 9), (3, 4), (4, 3)])
+def test_rank_codes_match_expanded_digits(q, m):
+    # ranking element codes as they stand is ranking their digit matrices
+    f = Field(FieldSpec.default(q, m))
+    gen = np.random.default_rng(q)
+    for rows in (1, 3, m, 2 * m):
+        codes = gen.integers(0, f.order, size=(40, rows))
+        codes[0::4] = 0
+        codes[1::4, -1] = f.add_vec(codes[1::4, 0], codes[1::4, rows // 2])
+        expected = gfq_rank_batch(f.matrix_batch(codes), q)
+        assert gfq_rank_codes(codes, q, m).tolist() == expected.tolist()
+    with pytest.raises(ValueError, match="code out of range"):
+        gfq_rank_codes(np.array([[f.order]]), q, m)
+
+
+def test_sub_vec_inverts_add_vec():
+    for q, m in ((2, 5), (3, 3), (4, 2)):
+        f = Field(FieldSpec.default(q, m))
+        gen = np.random.default_rng(q + m)
+        a, b = gen.integers(0, f.order, size=(2, 64))
+        assert (f.sub_vec(f.add_vec(a, b), b) == a).all()
+        for x, y, d in zip(a, b, f.sub_vec(a, b)):
+            assert d == f.sub(int(x), int(y))
 
 
 # ---------------------------------------------------------------------------

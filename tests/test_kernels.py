@@ -84,6 +84,24 @@ def test_packed_gf2_rank_batch_matches_table_path(rows, cols):
     assert (packed[0::3] == 0).all()
 
 
+@pytest.mark.parametrize(
+    "rows, bits", [(1, 1), (3, 9), (9, 9), (12, 18), (5, 64), (12, 64), (40, 7), (0, 8)]
+)
+def test_rank_words_matches_oracles(rows, bits):
+    # the leading-bit word elimination against schoolbook rank and the
+    # table path, on zero, full 64-bit and rank-deficient rows alike
+    t = base_tables(2)
+    mats = _gf2_stack(rows * 100 + bits, 30, rows, bits)
+    if rows:
+        mats[2::3, 0] = 1  # an all-ones row: with bits = 64 the top bit is set
+    words = (mats.astype(np.uint64) << np.arange(bits, dtype=np.uint64)).sum(axis=2)
+    got = _kernels.rank_words(words)
+    assert got.tolist() == _kernels._rank_batch_tables(mats, t.sub, t.mul, t.inv).tolist()
+    for b in range(6):
+        assert got[b] == naive_rank(mats[b], 2)
+    assert (got[0::3] == 0).all()
+
+
 def test_kernels_are_looked_up_at_call_time(monkeypatch):
     # one implementation, and gf reaches each kernel through the module
     # attribute, so rebinding it (as a tracer does) reroutes every caller

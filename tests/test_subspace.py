@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankloc.codes import build_code
 from rankloc.gf import base_tables, gfq_rank
 from rankloc.rng import SplitMix64
 from rankloc.subspace import (
@@ -12,6 +13,7 @@ from rankloc.subspace import (
     lift_batch,
     min_subspace_distance,
     rcef,
+    _lifted_distances,
     subspace_distance,
     subspace_distance_batch,
     verify_subspace_locality,
@@ -161,22 +163,43 @@ def test_min_subspace_distance_cross_check_fires(tiny_code, monkeypatch):
     # a rank kernel that miscounts codeword differences breaks d_S = 2 d_R
     from rankloc import subspace
 
-    real = subspace.gfq_rank_batch
+    real = subspace.gfq_rank_codes
 
-    def off_by_one_on_differences(mats, q=2):
-        return real(mats, q) + (mats.shape[1] == tiny_code.field.m)
+    def off_by_one_on_differences(codes, q, width):
+        # differences are width-m vectors, lifted columns width n+m
+        return real(codes, q, width) + (width == tiny_code.field.m)
 
-    monkeypatch.setattr(subspace, "gfq_rank_batch", off_by_one_on_differences)
+    monkeypatch.setattr(subspace, "gfq_rank_codes", off_by_one_on_differences)
     with pytest.raises(RuntimeError, match="distance cross-check failed"):
         min_subspace_distance(LiftedCode(tiny_code))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lifted_distances_match_subspace_distance(q, example2_code):
+    # code-form lifting against lifted bases and the definition, on whole
+    # codewords and on one rack's block as the locality check compares them
+    code = example2_code if q == 2 else build_code(3, 4, 4, 2, 1, 2)
+    f, n = code.field, code.n
+    rng = SplitMix64(71 + q)
+    msgs = np.array([[rng.randbelow(f.order) for _ in range(code.k)] for _ in range(40)])
+    codes = code.encode_batch(msgs)
+    codes[20] = codes[0]  # one pair at distance 0
+    for cols in (range(n), code.rack_columns(2)):
+        left, right = codes[:20, list(cols)], codes[20:, list(cols)]
+        got = _lifted_distances(left, right, n, cols, q, f.m)
+        lifted = [lift_batch(f.matrix_batch(block), n, cols) for block in (left, right)]
+        for t in range(20):
+            u, v = (Subspace.from_matrix(bases[t], q) for bases in lifted)
+            assert got[t] == subspace_distance(u, v)
+        assert got[0] == 0
 
 
 def test_min_subspace_distance_degenerate(tiny_code):
     from rankloc.subspace import _pairwise_min_distance
 
-    no_pairs = np.zeros((0, 6, 6), np.uint8)
+    no_pairs = np.zeros((0, 6), np.int64)
     with pytest.raises(ValueError, match="degenerate"):
-        _pairwise_min_distance(no_pairs, no_pairs, 6, range(6), 2)
+        _pairwise_min_distance(no_pairs, no_pairs, 6, range(6), 2, 6)
 
 
 # ---------------------------------------------------------------------------
