@@ -6,8 +6,8 @@ and multiplication for products; see ``gf.base_tables``), so one code path
 serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
 batch of matrices.  The one exception is GF(2): ``rank_words`` ranks
-vectors packed as uint64 words by a leading-bit elimination, and
-``rank_batch`` packs GF(2) stacks up to 64 bits wide into such words.
+vectors packed as integer words by a leading-bit elimination, and
+``rank_batch`` packs GF(2) stacks up to 64 bits wide into uint64 words.
 """
 
 from __future__ import annotations
@@ -60,17 +60,19 @@ def rank(mat, sub, mul, inv):
 
 
 def rank_words(words):
-    """GF(2) ranks of a (B, rows) batch of vector sets, one uint64 word each.
+    """GF(2) ranks of a (B, rows) batch of vector sets, one word each.
 
     Each step takes every matrix's largest word: its leading bit is the
     highest left in the matrix.  XOR with it lowers exactly the words that
     carry that bit, itself to zero, and raises every other word, so
     ``min(w, w ^ top)`` clears the bit from the matrix and the quotient
     keeps the rest of the span.  A nonzero top adds one to the rank; after
-    at most min(rows, bits) steps every word is zero.
+    at most min(rows, bits) steps every word is zero.  The words keep
+    their integer dtype, so a caller with narrow vectors passes narrow
+    words; signed words must be nonnegative.
     """
     # rows-major, so each step's max and XOR run along the batch
-    work = np.array(np.asarray(words, dtype=np.uint64).T, order="C")
+    work = np.array(np.asarray(words).T, order="C")
     rank = np.zeros(work.shape[1], dtype=np.int64)
     for _ in range(work.shape[0]):
         top = work.max(axis=0)

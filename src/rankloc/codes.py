@@ -104,6 +104,7 @@ class _EvaluationCode:
             [field.frobenius(p, e) for p in self.eval_points] for e in self.exponents
         ]
         self._cw_codes: np.ndarray | None = None
+        self._gen_rows: np.ndarray | None = None
         self._gen_gfq: np.ndarray | None = None
 
     @property
@@ -150,11 +151,12 @@ class _EvaluationCode:
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Vectorized encode: (B, k) element codes -> (B, n) element codes."""
         f = self.field
+        if self._gen_rows is None:
+            self._gen_rows = np.asarray(self._gen, dtype=np.int64)
         messages = np.asarray(messages, dtype=np.int64)
         out = np.zeros((messages.shape[0], self.n), dtype=np.int64)
-        for j in range(self.k):
-            row = np.asarray(self._gen[j], dtype=np.int64)
-            out = f.add_vec(out, f.mul_vec(messages[:, j][:, None], row[None, :]))
+        for j, row in enumerate(self._gen_rows):
+            out = f.add_vec(out, f.mul_vec(messages[:, j, None], row))
         return out
 
     def messages_at(self, idx: np.ndarray) -> np.ndarray:
@@ -337,13 +339,20 @@ def build_code(
     delta: int,
     *,
     spec: FieldSpec | None = None,
+    field: Field | None = None,
     g: int | None = None,
     basis_a: Sequence[int] | None = None,
     basis_b: Sequence[int] | None = None,
 ) -> LocalRankCode:
-    """Validate parameters, build the tower (defaults unless pinned), encode-ready."""
+    """Validate parameters, build the tower (defaults unless pinned), encode-ready.
+
+    ``field``, an already built field, stands in for ``spec`` (see
+    ``tower_build``).
+    """
     params = CodeParams(q, m, n, k, r, delta)
-    tower = tower_build(q, m, n, params.s, spec=spec, g=g, basis_a=basis_a, basis_b=basis_b)
+    tower = tower_build(
+        q, m, n, params.s, spec=spec, field=field, g=g, basis_a=basis_a, basis_b=basis_b
+    )
     return LocalRankCode(params, tower)
 
 

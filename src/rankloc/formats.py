@@ -167,15 +167,12 @@ class CodeSpec:
     def build(self) -> LocalRankCode:
         if self.modulus is not None:
             # prefer w^k reporting; fall back when x is not primitive
-            field_spec = FieldSpec(self.q, self.m, self.modulus, 1)
             try:
-                f = Field(field_spec)
+                f = Field(FieldSpec(self.q, self.m, self.modulus, 1))
             except ValueError:
-                field_spec = FieldSpec(self.q, self.m, self.modulus)
-                f = Field(field_spec)
+                f = Field(FieldSpec(self.q, self.m, self.modulus))
         else:
-            field_spec = FieldSpec.default(self.q, self.m)
-            f = Field(field_spec)
+            f = Field(FieldSpec.default(self.q, self.m))
         basis_a = basis_b = None
         if self.basis_a is not None:
             basis_a = [f.parse_element(el) for el in self.basis_a]
@@ -183,7 +180,7 @@ class CodeSpec:
             basis_b = [f.parse_element(el) for el in self.basis_b]
         return build_code(
             self.q, self.m, self.n, self.k, self.r, self.delta,
-            spec=field_spec, basis_a=basis_a, basis_b=basis_b,
+            field=f, basis_a=basis_a, basis_b=basis_b,
         )
 
 

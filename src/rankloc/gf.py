@@ -6,8 +6,10 @@ vector (c_0, ..., c_{m-1}) in base q, digit i being the coefficient of x^i.
 For q = 2 this is the usual bit representation of binary field elements.
 
 Small fields (order <= 65536) get discrete log/antilog tables, so multiply,
-invert, power and Frobenius are O(1) lookups.  Larger fields fall back to
-schoolbook polynomial arithmetic; they stay exact, just slower.
+invert, power and Frobenius are O(1) lookups.  The log of zero is a sentinel
+past every sum of two nonzero logs and the antilog table reads zero there,
+so a product is one add and one gather with no zero test.  Larger fields
+fall back to schoolbook polynomial arithmetic; they stay exact, just slower.
 
 The GF(q) tables the kernels run on (``base_tables``) are modular for prime
 q; for q = p^e they are read off the ``Field`` GF(p^e) on the first
@@ -96,7 +98,9 @@ def _digit_rows(codes: np.ndarray, q: int, count: int) -> np.ndarray:
     Row i of the new axis holds digit i of every code, so an (n,) vector of
     element codes becomes its m x n coordinate matrix.
     """
-    rest = np.asarray(codes, dtype=np.int64)
+    rest = np.asarray(codes)
+    if rest.dtype.kind != "u":
+        rest = rest.astype(np.int64, copy=False)
     out = np.empty(rest.shape[:-1] + (count, rest.shape[-1]), dtype=np.uint8)
     # one divmod by the scalar q per digit: faster than dividing by a
     # broadcast row of powers of q, and no power can wrap int64
@@ -302,6 +306,8 @@ class Field:
         self.one = 1
         # x itself, reduced modulo x + c_0 when m = 1
         self.x = q if m > 1 else int(self.tables.sub[0, spec.modulus[0]])
+        # the modulus as bits, which the GF(2) reduction of _mul_poly XORs in
+        self._mod_mask = sum(c << i for i, c in enumerate(spec.modulus)) if q == 2 else None
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self.omega: int | None = None
@@ -363,9 +369,7 @@ class Field:
     def _mul_poly(self, a: int, b: int) -> int:
         if self.q == 2:
             # Carry-less multiply and reduce, both on packed bits.
-            mod_mask = 0
-            for i, c in enumerate(self.spec.modulus):
-                mod_mask |= c << i
+            mod_mask = self._mod_mask
             acc = 0
             while b:
                 if b & 1:
@@ -380,10 +384,10 @@ class Field:
         return self.from_digits(red)
 
     def mul(self, a: int, b: int) -> int:
+        if self._log is not None:
+            return int(self._exp[self._log[a] + self._log[b]])
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.order - 1)])
         return self._mul_poly(a, b)
 
     def inv(self, a: int) -> int:
@@ -428,15 +432,21 @@ class Field:
             base = self.x
             if not self._is_primitive(base):
                 base = next(c for c in range(1, self.order) if self._is_primitive(c))
-        exp = np.zeros(self.order - 1, dtype=np.int64)
-        log = np.full(self.order, -1, dtype=np.int64)
+        # exp holds two periods of base^i, then zeros up to index 4(order - 1):
+        # a sum of two nonzero logs stays in the periods, and any sum with
+        # log[0] = 2(order - 1) lands in the zeros.  Logs are int32 (every
+        # sum is below 2^18), which halves the index arrays mul_vec builds.
+        period = self.order - 1
+        exp = np.zeros(4 * period + 1, dtype=np.int64)
+        log = np.full(self.order, 2 * period, dtype=np.int32)
         v = 1
-        for i in range(self.order - 1):
+        for i in range(period):
             exp[i] = v
             log[v] = i
             v = self._mul_poly(v, base)
         if v != 1:
             raise ValueError("log table base is not primitive")
+        exp[period : 2 * period] = exp[:period]
         self._exp, self._log = exp, log
 
     def element_order(self, a: int) -> int:
@@ -516,10 +526,7 @@ class Field:
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self._need_tables()
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp[self._log[a] + self._log[b]]
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._digitwise(self.tables.add, a, b)
@@ -605,13 +612,16 @@ def gfq_rank_codes(codes: np.ndarray, q: int, width: int) -> np.ndarray:
     ``_kernels.rank_words`` eliminates; every other q expands the digits
     once and takes the table path.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError("expected a (batch, rows) array of codes")
-    if codes.size and (codes.min() < 0 or codes.max() >= q**width):
+    if codes.size and (codes.min() < 0 or int(codes.max()) >= q**width):
         raise ValueError("code out of range")
     if q == 2:
-        return _kernels.rank_words(codes.astype(np.uint64))
+        # the narrowest word that holds width bits: each elimination step
+        # then moves a quarter or half of the uint64 bytes
+        word = np.uint16 if width <= 16 else np.uint32 if width <= 32 else np.uint64
+        return _kernels.rank_words(codes.astype(word))
     return gfq_rank_batch(_digit_rows(codes, q, width), q)
 
 
@@ -677,6 +687,7 @@ def tower_build(
     s: int,
     *,
     spec: FieldSpec | None = None,
+    field: Field | None = None,
     g: int | None = None,
     basis_a: Sequence[int] | None = None,
     basis_b: Sequence[int] | None = None,
@@ -687,11 +698,16 @@ def tower_build(
     basis_b = powers (gamma^0, ..., gamma^(mu-1)) of the first power of w
     lying in GF(q^n), starting from w^0 = 1, whose powers pass the product
     rank-n check (gamma = 1 passes only when mu = 1).
-    Explicit overrides are validated against the same invariants.
+    Explicit overrides are validated against the same invariants.  The
+    field is ``field`` when given (a caller that already built it), else
+    built from ``spec`` or the default spec; give one of the two at most.
     """
     if n % s != 0 or m % n != 0:
         raise ValueError("parameter divisibility violated")
-    field = Field(spec) if spec is not None else Field(FieldSpec.default(q, m))
+    if field is None:
+        field = Field(spec if spec is not None else FieldSpec.default(q, m))
+    elif spec is not None:
+        raise ValueError("give spec or field, not both")
     if field.q != q or field.m != m:
         raise ValueError("field spec does not match tower parameters")
     if field.omega is None:

@@ -192,6 +192,22 @@ def test_encode_batch_matches_scalar(example2_code):
         assert list(batch[b]) == code.encode(list(msgs[b]))
 
 
+def test_encode_batch_matches_scalar_odd_characteristic():
+    # q = 3: the batch adds digit by digit, scalar encode element by element
+    code = build_code(3, 4, 4, 2, 1, 2)
+    rng = SplitMix64(331)
+    msgs = np.array(
+        [[rng.randbelow(code.field.order) for _ in range(code.k)] for _ in range(64)],
+        dtype=np.int64,
+    )
+    msgs[0] = 0
+    msgs[1::7, 0] = 0
+    msgs[2::7, 1] = 0
+    batch = code.encode_batch(msgs)
+    for b in range(64):
+        assert list(batch[b]) == code.encode(list(msgs[b]))
+
+
 def test_generator_gfq_rows_are_basis_codewords(example2_code, tiny_code):
     # every row of the global and each local generator, on both codes
     for parent in (example2_code, tiny_code):

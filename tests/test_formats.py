@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from rankloc import gf
+from rankloc.codes import build_code
 from rankloc.formats import (
     CodeSpec,
     FormatError,
@@ -85,6 +87,32 @@ def test_spec_build_reference(example2_code):
 def test_spec_build_defaults():
     code = CodeSpec.from_text(TINY_SPEC).build()
     assert (code.q, code.m, code.r, code.delta) == (2, 6, 1, 2)
+
+
+def test_spec_build_makes_one_field(tmp_path, monkeypatch, example2_code, tiny_code):
+    # the field the spec builds is the one the tower and the code use
+    init = Field.__init__
+    fields = []
+
+    def counting(self, *args, **kwargs):
+        fields.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gf.Field, "__init__", counting)
+    for name, text, same in (
+        ("ref", REFERENCE_SPEC, example2_code),
+        ("tiny", TINY_SPEC, tiny_code),
+    ):
+        path = tmp_path / f"{name}.spec"
+        path.write_text(text)
+        fields.clear()
+        code = load_code_spec(str(path)).build()
+        assert fields == [code.field]
+        assert code.tower.field is code.field
+        assert code.eval_points == same.eval_points
+        assert np.array_equal(code.generator_gfq(), same.generator_gfq())
+    with pytest.raises(ValueError, match="not both"):
+        build_code(2, 6, 6, 2, 1, 2, spec=tiny_code.field.spec, field=tiny_code.field)
 
 
 def test_load_and_atomic_write(tmp_path):

@@ -326,6 +326,20 @@ def test_vectorized_ops_match_scalar(example2_field):
         assert av[i] == f.add(int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("q, m", [(2, 4), (3, 2), (4, 2)])
+def test_mul_vec_exhaustive(q, m):
+    # every pair, zero on either side included: the one-gather product
+    # against scalar mul and the schoolbook product, which has no tables
+    f = Field(FieldSpec.default(q, m))
+    a, b = np.meshgrid(np.arange(f.order), np.arange(f.order), indexing="ij")
+    got = f.mul_vec(a, b)
+    assert got.dtype == np.int64
+    for x in range(f.order):
+        for y in range(f.order):
+            assert got[x, y] == f.mul(x, y) == f._mul_poly(x, y)
+    assert (got[0] == 0).all() and (got[:, 0] == 0).all()
+
+
 def test_add_vec_odd_characteristic():
     f = Field(FieldSpec.default(3, 3))
     rng = SplitMix64(61)
@@ -349,6 +363,38 @@ def test_rank_codes_match_expanded_digits(q, m):
         assert gfq_rank_codes(codes, q, m).tolist() == expected.tolist()
     with pytest.raises(ValueError, match="code out of range"):
         gfq_rank_codes(np.array([[f.order]]), q, m)
+
+
+@pytest.mark.parametrize("width", [16, 17, 32, 33, 64])
+def test_rank_codes_narrow_words_match_digits(monkeypatch, width):
+    # GF(2) codes reach the word kernel in the narrowest unsigned dtype
+    # holding width bits; full-width words have the top bit set
+    passed = []
+    rank_words = gf._kernels.rank_words
+
+    def spy(words):
+        passed.append(words.dtype)
+        return rank_words(words)
+
+    monkeypatch.setattr(gf._kernels, "rank_words", spy)
+    word = {16: np.uint16, 17: np.uint32, 32: np.uint32, 33: np.uint64, 64: np.uint64}
+    gen = np.random.default_rng(width)
+    full = np.uint64((1 << width) - 1)
+    for rows in (1, 5, width + 3):
+        codes = gen.integers(0, 1 << width, size=(30, rows), dtype=np.uint64)
+        codes[0::5] = 0
+        codes[1::5, 0] = full
+        codes[2::5, -1] = full
+        codes[3::5, -1] = codes[3::5, 0] ^ codes[3::5, rows // 2]
+        expected = gfq_rank_batch(gf._digit_rows(codes, 2, width), 2).tolist()
+        inputs = [codes] if width == 64 else [codes, codes.astype(np.int64)]
+        for given in inputs:
+            passed.clear()
+            assert gfq_rank_codes(given, 2, width).tolist() == expected
+            assert passed == [word[width]]
+    if width < 64:
+        with pytest.raises(ValueError, match="code out of range"):
+            gfq_rank_codes(np.array([[1 << width]], dtype=np.uint64), 2, width)
 
 
 def test_sub_vec_inverts_add_vec():

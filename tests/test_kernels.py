@@ -102,6 +102,18 @@ def test_rank_words_matches_oracles(rows, bits):
     assert (got[0::3] == 0).all()
 
 
+def test_rank_words_keeps_unsigned_dtype():
+    # the same words as uint16, uint32 and uint64 rank alike, all-ones
+    # 16-bit rows (top bit set) and zero rows included
+    t = base_tables(2)
+    mats = _gf2_stack(1616, 30, 12, 16)
+    mats[2::3, 0] = 1
+    words = (mats.astype(np.uint64) << np.arange(16, dtype=np.uint64)).sum(axis=2)
+    expected = _kernels._rank_batch_tables(mats, t.sub, t.mul, t.inv).tolist()
+    for dtype in (np.uint16, np.uint32, np.uint64):
+        assert _kernels.rank_words(words.astype(dtype)).tolist() == expected
+
+
 def test_kernels_are_looked_up_at_call_time(monkeypatch):
     # one implementation, and gf reaches each kernel through the module
     # attribute, so rebinding it (as a tracer does) reroutes every caller
