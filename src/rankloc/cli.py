@@ -8,6 +8,7 @@ inconsistent word), 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -237,7 +238,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="rankloc",
         description="Rank-metric codes with rack locality: encode, repair, lift, simulate.",

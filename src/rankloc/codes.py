@@ -25,6 +25,9 @@ from .linpoly import LinearizedPoly
 from .rng import SplitMix64
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
+# most rows of one encode table: a message slot over a larger field is
+# split into chunks of its digits (the Method of Four Russians)
+_SLOT_TABLE_ROWS = 1 << 12
 
 
 class OracleBudgetError(RuntimeError):
@@ -79,6 +82,19 @@ class CodeParams:
         return j * self.r + i
 
 
+def _digit_chunks(q: int, m: int) -> list[tuple[int, int]]:
+    """(first digit, digit count) of each chunk an encode table covers.
+
+    One chunk when q^m rows fit ``_SLOT_TABLE_ROWS``; otherwise the fewest
+    chunks that fit, their digit counts as even as possible.
+    """
+    fits = 1
+    while q ** (fits + 1) <= _SLOT_TABLE_ROWS:
+        fits += 1
+    width = -(-m // -(-m // fits))
+    return [(first, min(width, m - first)) for first in range(0, m, width)]
+
+
 def rank_distance_bound(n: int, k: int, r: int, delta: int) -> int:
     """Largest rank distance compatible with (r, delta) locality."""
     return n - k + 1 - ((-(-k // r)) - 1) * (delta - 1)
@@ -104,7 +120,8 @@ class _EvaluationCode:
             [field.frobenius(p, e) for p in self.eval_points] for e in self.exponents
         ]
         self._cw_codes: np.ndarray | None = None
-        self._gen_rows: np.ndarray | None = None
+        self._basis: np.ndarray | None = None
+        self._tables: list[tuple[int, int, np.ndarray]] | None = None
         self._gen_gfq: np.ndarray | None = None
 
     @property
@@ -148,16 +165,89 @@ class _EvaluationCode:
     def encode_matrix(self, message: Sequence[int]) -> np.ndarray:
         return self.field.to_matrix(self.encode(message))
 
+    def _basis_images(self) -> np.ndarray:
+        """(k, m, n) element codes: entry [j, t] is x^t times generator row j (cached).
+
+        Row [j, t] is the codeword of the message with x^t in slot j and
+        zero elsewhere.  Each step from x^t to x^(t+1) shifts every code
+        one digit up and folds the digit c that leaves back in as
+        c * x^m = -c * (modulus below x^m), so no field multiply runs.
+        """
+        if self._basis is None:
+            f = self.field
+            q, m, t = f.q, f.m, f.tables
+            top = q ** (m - 1)
+            low = np.asarray(f.spec.modulus[:m])
+            # fold[c] = -c * (modulus below x^m), as an element code
+            fold = t.sub[0][t.mul[np.arange(q)[:, None], low]].astype(np.int64)
+            fold = fold @ q ** np.arange(m, dtype=np.int64)
+            row = np.asarray(self._gen, dtype=np.int64)
+            basis = np.empty((self.k, m, self.n), dtype=np.int64)
+            for i in range(m):
+                basis[:, i] = row
+                row = f.add_vec(row % top * q, fold[row // top])
+            self._basis = basis
+        return self._basis
+
+    def _slot_tables(self) -> list[tuple[int, int, np.ndarray]]:
+        """(first digit, digit count, tables) per digit chunk of a symbol (cached).
+
+        ``tables[j, v]`` is the codeword of the message whose slot j holds
+        v in digits ``first ..`` and zero elsewhere.  Adding digit i's value
+        a adds ``a * _basis_images()[j, i]``, so row a * q^(i - first) + v is
+        that multiple plus row v; over GF(2) this doubles the table.  Codes
+        are stored in the narrowest unsigned type that holds them, which
+        makes the gathers of ``encode_batch`` cheaper.
+        """
+        if self._tables is None:
+            f = self.field
+            q, m = f.q, f.m
+            basis = self._basis_images()
+            multiples = [None, basis] + [f.scale_vec(a, basis) for a in range(2, q)]
+            word = np.min_scalar_type(f.order - 1)
+            self._tables = []
+            for first, count in _digit_chunks(q, m):
+                tables = np.zeros((self.k, q**count, self.n), dtype=word)
+                for i in range(first, first + count):
+                    size = q ** (i - first)
+                    for a in range(1, q):
+                        image = multiples[a][:, i, None]
+                        tables[:, a * size : (a + 1) * size] = f.add_vec(tables[:, :size], image)
+                self._tables.append((first, count, tables))
+        return self._tables
+
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Vectorized encode: (B, k) element codes -> (B, n) element codes."""
+        """Vectorized encode: (B, k) element codes -> (B, n) element codes.
+
+        Each message slot is a GF(q)-linear map, so its image is read off
+        cached tables (``_slot_tables``), one gather per slot and digit
+        chunk, and the gathers are summed.  No field multiply runs.
+        """
         f = self.field
-        if self._gen_rows is None:
-            self._gen_rows = np.asarray(self._gen, dtype=np.int64)
-        messages = np.asarray(messages, dtype=np.int64)
-        out = np.zeros((messages.shape[0], self.n), dtype=np.int64)
-        for j, row in enumerate(self._gen_rows):
-            out = f.add_vec(out, f.mul_vec(messages[:, j, None], row))
-        return out
+        try:
+            messages = np.asarray(messages, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("message symbol out of range") from None
+        if messages.ndim != 2 or messages.shape[1] != self.k:
+            raise ValueError("message has wrong length")
+        if messages.size and (messages.min() < 0 or messages.max() >= f.order):
+            raise ValueError("message symbol out of range")
+        out = None
+        for first, count, tables in self._slot_tables():
+            for j, table in enumerate(tables):
+                idx = messages[:, j]
+                if first:
+                    idx = idx // f.q**first
+                if first + count < f.m:
+                    idx = idx % f.q**count
+                rows = np.take(table, idx, axis=0)
+                if out is None:
+                    out = rows
+                elif f.q == 2:
+                    out ^= rows
+                else:
+                    out = f.add_vec(out, rows)
+        return out.astype(np.int64, copy=False)
 
     def messages_at(self, idx: np.ndarray) -> np.ndarray:
         """The messages at positions ``idx`` of ``message_codes()``.
@@ -205,15 +295,9 @@ class _EvaluationCode:
         if self._gen_gfq is None:
             f = self.field
             mk = f.m * self.k
-            products = [
-                f.mul(f.q**t, self._gen[slot][col])
-                for slot in range(self.k)
-                for t in range(f.m)
-                for col in range(self.n)
-            ]
-            # digits[i, row, col] -> rows[row, col * m + i]: column-major flatten
-            digits = f.to_matrix(products).reshape(f.m, mk, self.n)
-            self._gen_gfq = digits.transpose(1, 2, 0).reshape(mk, self.n * f.m)
+            # digits[row, i, col] -> rows[row, col * m + i]: column-major flatten
+            digits = f.matrix_batch(self._basis_images().reshape(mk, self.n))
+            self._gen_gfq = digits.transpose(0, 2, 1).reshape(mk, self.n * f.m)
         return self._gen_gfq
 
 

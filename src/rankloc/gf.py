@@ -528,6 +528,17 @@ class Field:
         self._need_tables()
         return self._exp[self._log[a] + self._log[b]]
 
+    def scale_vec(self, c: int, a: np.ndarray) -> np.ndarray:
+        """c * a for c in GF(q) and elements a of GF(q^m), digit by digit."""
+        if not 0 <= c < self.q:
+            raise ValueError("scalar out of range")
+        a = np.asarray(a, dtype=np.int64)
+        if c <= 1:
+            return a * c
+        # c in every digit, so the digitwise product scales each digit by c
+        spread = c * ((self.order - 1) // (self.q - 1))
+        return self._digitwise(self.tables.mul, np.int64(spread), a)
+
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._digitwise(self.tables.add, a, b)
 

@@ -71,22 +71,43 @@ class SplitMix64:
         bounds = np.asarray(bounds, dtype=np.uint64).reshape(-1)
         if (bounds == 0).any():
             raise ValueError("n must be positive")
-        # limit = 2^64 - (2^64 mod b); 0 stands for 2^64 (b a power of two)
-        limit = np.uint64(0) - (np.uint64(0) - bounds) % bounds
+        same = bounds.size > 0 and bool((bounds == bounds[0]).all())
+        if same:
+            # one bound, so one scalar limit; a power of two divides 2^64,
+            # so it rejects no draw and the remainder is a mask
+            b = int(bounds[0])
+            if not b & (b - 1):
+                vals = self._block(bounds.size)
+                self._skip(bounds.size)
+                return vals & np.uint64(b - 1)
+            bound, limit = np.uint64(b), np.uint64((1 << 64) - (1 << 64) % b)
+        else:
+            # limit = 2^64 - (2^64 mod b); 0 stands for 2^64 (b a power of two)
+            limit = np.uint64(0) - (np.uint64(0) - bounds) % bounds
         out = np.empty(bounds.size, dtype=np.uint64)
         done = 0
         while done < bounds.size:
-            todo = bounds.size - done
-            steps = np.arange(1, todo + 1, dtype=np.uint64)
-            vals = _mix64_array(steps * np.uint64(_GOLDEN) + np.uint64(self._state))
-            lim = limit[done:]
-            rejected = np.nonzero((lim != 0) & (vals >= lim))[0]
-            kept = int(rejected[0]) if rejected.size else todo
-            out[done : done + kept] = vals[:kept] % bounds[done : done + kept]
-            used = kept + 1 if rejected.size else kept
-            self._state = (self._state + used * _GOLDEN) & _MASK
+            vals = self._block(bounds.size - done)
+            if same:
+                rejected = np.flatnonzero(vals >= limit)
+            else:
+                lim = limit[done:]
+                rejected = np.flatnonzero((lim != 0) & (vals >= lim))
+            kept = int(rejected[0]) if rejected.size else vals.size
+            out[done : done + kept] = vals[:kept] % (
+                bound if same else bounds[done : done + kept]
+            )
+            self._skip(kept + 1 if rejected.size else kept)
             done += kept
         return out
+
+    def _block(self, count: int) -> np.ndarray:
+        """The next ``count`` draws as a uint64 array; the state stays put."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        return _mix64_array(steps * np.uint64(_GOLDEN) + np.uint64(self._state))
+
+    def _skip(self, count: int) -> None:
+        self._state = (self._state + count * _GOLDEN) & _MASK
 
     def sample_indices(self, population: int, count: int) -> list[int]:
         """``count`` distinct indices from range(population), ascending."""

@@ -180,32 +180,51 @@ def test_encode_is_linear(example2_code):
         assert code.encode(scaled) == [f.mul(c, a) for a in cw1]
 
 
-def test_encode_batch_matches_scalar(example2_code):
-    code = example2_code
+@pytest.mark.parametrize(
+    "params, count",
+    [
+        (None, 64),
+        ((3, 4, 4, 2, 1, 2), 64),
+        ((4, 4, 4, 2, 1, 2), 64),
+        ((5, 2, 2, 2, 1, 1), 64),
+        ((9, 2, 2, 2, 1, 1), 64),
+        ((2, 16, 16, 4, 2, 3), 64),
+        ((3, 11, 11, 1, 1, 1), 6),
+    ],
+    ids=["example2", "q3", "q4", "q5", "q9", "two-chunk-2^16", "untabled-3^11"],
+)
+def test_encode_batch_matches_scalar(params, count, example2_code):
+    # the tables against scalar encode, zero slots and the top symbol included:
+    # GF(2^16) splits each slot into two 8-bit chunks, and GF(3^11) is past
+    # the log-table limit, so only the tables can encode it in batch
+    code = example2_code if params is None else build_code(*params)
+    order = code.field.order
     rng = SplitMix64(317)
     msgs = np.array(
-        [[rng.randbelow(code.field.order) for _ in range(code.k)] for _ in range(64)],
-        dtype=np.int64,
-    )
-    batch = code.encode_batch(msgs)
-    for b in range(64):
-        assert list(batch[b]) == code.encode(list(msgs[b]))
-
-
-def test_encode_batch_matches_scalar_odd_characteristic():
-    # q = 3: the batch adds digit by digit, scalar encode element by element
-    code = build_code(3, 4, 4, 2, 1, 2)
-    rng = SplitMix64(331)
-    msgs = np.array(
-        [[rng.randbelow(code.field.order) for _ in range(code.k)] for _ in range(64)],
+        [[rng.randbelow(order) for _ in range(code.k)] for _ in range(count)],
         dtype=np.int64,
     )
     msgs[0] = 0
-    msgs[1::7, 0] = 0
-    msgs[2::7, 1] = 0
+    msgs[1] = order - 1
+    msgs[2::3, 0] = 0
+    msgs[3::4, -1] = 0
     batch = code.encode_batch(msgs)
-    for b in range(64):
-        assert list(batch[b]) == code.encode(list(msgs[b]))
+    assert batch.dtype == np.int64 and batch.shape == (count, code.n)
+    for b in range(count):
+        assert batch[b].tolist() == code.encode(msgs[b].tolist())
+
+
+def test_encode_batch_refuses_out_of_range_symbols(example2_code):
+    code = example2_code
+    order = code.field.order
+    for bad in ([-1, 0, 0, 0], [0, 0, order, 0], [0, 0, 0, 2**70]):
+        with pytest.raises(ValueError, match="symbol out of range"):
+            code.encode_batch([bad])
+        with pytest.raises(ValueError, match="symbol out of range"):
+            code.encode(bad)
+    with pytest.raises(ValueError, match="wrong length"):
+        code.encode_batch([[1, 2, 3]])
+    assert code.encode_batch([[order - 1] * 4]).tolist() == [code.encode([order - 1] * 4)]
 
 
 def test_generator_gfq_rows_are_basis_codewords(example2_code, tiny_code):

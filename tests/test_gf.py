@@ -340,6 +340,17 @@ def test_mul_vec_exhaustive(q, m):
     assert (got[0] == 0).all() and (got[:, 0] == 0).all()
 
 
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 2), (4, 2), (9, 2)])
+def test_scale_vec_is_multiplication_by_a_constant(q, m):
+    # a constant of GF(q) scales every digit; schoolbook mul is the oracle
+    f = Field(FieldSpec.default(q, m))
+    a = np.arange(f.order)
+    for c in range(q):
+        assert f.scale_vec(c, a).tolist() == [f._mul_poly(c, int(x)) for x in a]
+    with pytest.raises(ValueError, match="scalar"):
+        f.scale_vec(q, a)
+
+
 def test_add_vec_odd_characteristic():
     f = Field(FieldSpec.default(3, 3))
     rng = SplitMix64(61)
