@@ -5,9 +5,13 @@ reads (subtraction, multiplication and inversion for elimination, addition
 and multiplication for products; see ``gf.base_tables``), so one code path
 serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
-batch of matrices.  The one exception is GF(2): ``rank_words`` ranks
-vectors packed as integer words by a leading-bit elimination, and
-``rank_batch`` packs GF(2) stacks up to 64 bits wide into uint64 words.
+batch of matrices.  GF(2) takes bit-level shortcuts instead of tables:
+``rank_words`` ranks vectors packed as integer words by a leading-bit
+elimination, ``rank_batch`` packs GF(2) stacks up to 64 bits wide into
+uint64 words for it, ``matmul`` multiplies operands packed into uint64
+words along the inner dimension (Albrecht, Bard and Hart, ACM TOMS 2010),
+and row reduction clears a column by XORing the pivot row into the others.
+No path uses floating point or BLAS: every product is exact.
 """
 
 from __future__ import annotations
@@ -20,26 +24,26 @@ BACKEND = "numpy"
 def _reduce(mat, sub, mul, inv, n_pivot_cols):
     work = np.array(mat, dtype=np.uint8, copy=True)
     rows, cols = work.shape
+    binary = len(inv) == 2
     pivots = []
     r = 0
     for col in range(n_pivot_cols):
-        piv = -1
-        for row in range(r, rows):
-            if work[row, col]:
-                piv = row
-                break
-        if piv < 0:
+        below = np.flatnonzero(work[r:, col])
+        if not below.size:
             continue
+        piv = r + below[0]
         if piv != r:
             work[[r, piv]] = work[[piv, r]]
         p = work[r, col]
         if p != 1:
             work[r] = mul[inv[p], work[r]]
-        colvals = work[:, col].copy()
-        colvals[r] = 0
-        nz = np.nonzero(colvals)[0]
+        nz = np.flatnonzero(work[:, col])
+        nz = nz[nz != r]
         if nz.size:
-            work[nz] = sub[work[nz], mul[colvals[nz][:, None], work[r][None, :]]]
+            if binary:
+                work[nz] ^= work[r]
+            else:
+                work[nz] = sub[work[nz], mul[work[nz, col][:, None], work[r][None, :]]]
         pivots.append(col)
         r += 1
         if r == rows:
@@ -83,12 +87,13 @@ def rank_words(words):
     return rank
 
 
-def _pack_words(mats):
-    # (B, rows, w <= 64) bits -> (B, rows) uint64 words, bit i = column i
-    count, rows, w = mats.shape
-    packed = np.zeros((count, rows, 8), dtype=np.uint8)
-    packed[:, :, : -(-w // 8)] = np.packbits(mats, axis=2, bitorder="little")
-    return packed.view("<u8")[:, :, 0]
+def _pack_words(bits):
+    # (..., w) bits -> (..., max(1, ceil(w / 64))) uint64 words, bit i of
+    # word t = column 64 t + i
+    *lead, w = bits.shape
+    packed = np.zeros((*lead, max(1, -(-w // 64)) * 8), dtype=np.uint8)
+    packed[..., : -(-w // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
 def _rank_batch_tables(mats, sub, mul, inv):
@@ -133,7 +138,7 @@ def rank_batch(mats, sub, mul, inv):
     if len(inv) == 2 and min(mats.shape[1:]) <= 64:
         if mats.shape[1] < mats.shape[2]:
             mats = mats.transpose(0, 2, 1)
-        return rank_words(_pack_words(mats))
+        return rank_words(_pack_words(mats)[:, :, 0])
     return _rank_batch_tables(mats, sub, mul, inv)
 
 
@@ -144,6 +149,15 @@ def matmul(a, b, add, mul):
     inner2, cols = b.shape
     if inner != inner2:
         raise ValueError("shape mismatch")
+    if len(add) == 2:
+        # both operands packed along the inner dimension: output bit (i, j)
+        # is the parity of a_i & b_j, XORed up one word at a time so the
+        # transient stays one rows x cols array of words
+        a_words, b_words = _pack_words(a), _pack_words(b.T)
+        acc = np.zeros((rows, cols), dtype=np.uint64)
+        for t in range(a_words.shape[1]):
+            acc ^= a_words[:, t, None] & b_words[None, :, t]
+        return np.bitwise_count(acc) & np.uint8(1)
     out = np.zeros((rows, cols), dtype=np.uint8)
     for t in range(inner):
         out = add[out, mul[a[:, t][:, None], b[t, :][None, :]]]

@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
     else:
         local_tag = "(sampled)"
     local_label = f"local d={local_d} {local_tag}"
-    report = verify_subspace_locality(LiftedCode(code), budget=args.budget)
+    report = verify_subspace_locality(LiftedCode(code), budget=args.budget, seed=args.seed)
     for block in report.blocks:
         print(
             f"block_{block.block}: size_ok={block.size_ok} dim_ok={block.dim_ok}"
@@ -277,8 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver = add("verify", cmd_verify, help="distance and locality report")
     ver.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     ver.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
-    ver.add_argument("--samples", type=int, default=10_000)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument(
+        "--samples", type=int, default=10_000,
+        help="sampled mode: random nonzero codewords ranked for each distance estimate"
+        " (the code, then each rack); the block lines compare a fixed 2000 pairs"
+        " whenever a block is not scanned exhaustively",
+    )
+    ver.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the sampled distance estimates and the sampled block-locality pairs",
+    )
 
     lif = add("lift", cmd_lift, help="lift a codeword to a subspace file")
     lif.add_argument("--codeword", required=True)

@@ -175,17 +175,11 @@ class _EvaluationCode:
         """
         if self._basis is None:
             f = self.field
-            q, m, t = f.q, f.m, f.tables
-            top = q ** (m - 1)
-            low = np.asarray(f.spec.modulus[:m])
-            # fold[c] = -c * (modulus below x^m), as an element code
-            fold = t.sub[0][t.mul[np.arange(q)[:, None], low]].astype(np.int64)
-            fold = fold @ q ** np.arange(m, dtype=np.int64)
             row = np.asarray(self._gen, dtype=np.int64)
-            basis = np.empty((self.k, m, self.n), dtype=np.int64)
-            for i in range(m):
+            basis = np.empty((self.k, f.m, self.n), dtype=np.int64)
+            for i in range(f.m):
                 basis[:, i] = row
-                row = f.add_vec(row % top * q, fold[row // top])
+                row = f.times_x(row)
             self._basis = basis
         return self._basis
 

@@ -277,20 +277,30 @@ def _solve_known(
 ) -> np.ndarray:
     """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
 
+    The solve depends only on the pattern: reducing [gen_K^T | I] once,
+    pivots in the first dim columns, leaves a right block E with
+    E @ gen_K^T = [I; 0] (rank rows of I).  Rows past the rank are the
+    consistency checks, and the first dim rows map the known values to the
+    message, so the whole batch costs two products: vals @ E[rank:]^T and
+    vals @ (E[:dim]^T @ gen[:, wanted]).
+
     Raises ValueError for inconsistent data and AmbiguousErasureError when
     the known cells do not pin the message down (equivalently, a nonzero
     codeword vanishes on them).
     """
     dim = gen.shape[0]
-    aug = np.hstack([gen[:, known_idx].T, known_vals.T]).astype(np.uint8)
+    known = len(known_idx)
+    aug = np.hstack([gen[:, known_idx].T, np.eye(known, dtype=np.uint8)])
     reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
     rank = len(pivots)
-    if reduced[rank:, dim:].any():
+    solve = reduced[:, dim:]
+    if gfq_matmul(known_vals, np.ascontiguousarray(solve[rank:].T), q).any():
         raise ValueError("not a codeword restriction")
     if rank < dim:
         raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    u = reduced[:dim, dim:]  # dim x B, pivot columns are exactly 0..dim-1
-    return gfq_matmul(np.ascontiguousarray(u.T), gen[:, wanted_idx], q)
+    # pivot columns are exactly 0..dim-1, so u = vals @ E[:dim]^T
+    repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
+    return gfq_matmul(known_vals, repair, q)
 
 
 def decode_erasures_batch(

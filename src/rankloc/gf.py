@@ -437,16 +437,28 @@ class Field:
         # log[0] = 2(order - 1) lands in the zeros.  Logs are int32 (every
         # sum is below 2^18), which halves the index arrays mul_vec builds.
         period = self.order - 1
+        # multiplying by a fixed element c is GF(q)-linear, so its table over
+        # every element code is the sum of the x^i-shifted codes scaled by c's
+        # digits.  Composing a step table with itself squares its element:
+        # each round appends step[powers] and doubles the run of powers
+        codes = np.arange(self.order, dtype=np.int64)
+        step = np.zeros_like(codes)
+        digits = _poly_trim(self.digits(base))
+        for i, d in enumerate(digits):
+            if d:
+                step = self.add_vec(step, self.scale_vec(d, codes))
+            if i + 1 < len(digits):
+                codes = self.times_x(codes)
+        powers = np.ones(1, dtype=np.int64)
+        while powers.size <= period:
+            powers = np.concatenate([powers, step[powers]])
+            step = step[step]
+        if powers[period] != 1:
+            raise ValueError("log table base is not primitive")
         exp = np.zeros(4 * period + 1, dtype=np.int64)
         log = np.full(self.order, 2 * period, dtype=np.int32)
-        v = 1
-        for i in range(period):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_poly(v, base)
-        if v != 1:
-            raise ValueError("log table base is not primitive")
-        exp[period : 2 * period] = exp[:period]
+        exp[:period] = exp[period : 2 * period] = powers[:period]
+        log[powers[:period]] = np.arange(period, dtype=np.int32)
         self._exp, self._log = exp, log
 
     def element_order(self, a: int) -> int:
@@ -544,6 +556,22 @@ class Field:
 
     def sub_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._digitwise(self.tables.sub, a, b)
+
+    @functools.cached_property
+    def _x_fold(self) -> np.ndarray:
+        # fold[c] = -c * (modulus below x^m) as an element code: c * x^m
+        t, q, m = self.tables, self.q, self.m
+        low = np.asarray(self.spec.modulus[:m])
+        fold = t.sub[0][t.mul[np.arange(q)[:, None], low]].astype(np.int64)
+        return fold @ q ** np.arange(m, dtype=np.int64)
+
+    def times_x(self, a: np.ndarray) -> np.ndarray:
+        """x * a for element codes a: every digit moves one place up and the
+        digit c that leaves comes back in as c * x^m.  No multiply runs, so
+        fields without log tables take it too."""
+        a = np.asarray(a, dtype=np.int64)
+        top = self.q ** (self.m - 1)
+        return self.add_vec(a % top * self.q, self._x_fold[a // top])
 
     def _digitwise(self, table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # GF(q^m) addition and subtraction act digit by digit over GF(q)

@@ -301,8 +301,10 @@ def test_verify_reference_sampled(ws, capsys):
         "--samples", "300", "--seed", "1",
     )
     assert code == 0
-    # whole stdout pinned: the sampled distance and locality scans are
-    # seeded, so every observed minimum is reproducible
+    # whole stdout pinned: the sampled distance and locality scans are both
+    # seeded by --seed, so every observed minimum is reproducible.  The
+    # block lines compare 2000 pairs whatever --samples says; each block's
+    # minimum 4 turns up among them at every seed from 0 to 199
     assert out == (
         "d_bound=5\n"
         "good_poly_per_rack=1,w^119,w^238\n"
@@ -313,6 +315,27 @@ def test_verify_reference_sampled(ws, capsys):
         "d<=6 (sampled), local d=2 (sampled), lifted d_S<=12,"
         " subspace-locality (2,4): PASS (sampled)\n"
     )
+
+
+@pytest.mark.parametrize("mode, seed", [("sampled", "7"), ("exact", "5")])
+def test_verify_seeds_the_locality_check(ws, capsys, monkeypatch, mode, seed):
+    # --seed reaches the block-locality scan; its pair count stays the default
+    from rankloc import cli
+
+    calls = []
+    check = cli.verify_subspace_locality
+
+    def recorded(lifted, **kwargs):
+        calls.append(kwargs)
+        return check(lifted, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_subspace_locality", recorded)
+    spec = ws / ("ref.spec" if mode == "sampled" else "tiny.spec")
+    code, _, _ = run(
+        capsys, "verify", "--spec", spec, "--mode", mode, "--samples", "300", "--seed", seed,
+    )
+    assert code == 0
+    assert [c["seed"] for c in calls] == [int(seed)] and "sample_pairs" not in calls[0]
 
 
 def test_verify_sampled_ranks_codes_without_unpacking(ws, capsys, monkeypatch):

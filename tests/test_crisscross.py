@@ -7,6 +7,7 @@ from rankloc.codes import rank_distance_bound
 from rankloc.crisscross import (
     AmbiguousErasureError,
     Cover,
+    _solve_known,
     correctable,
     crisscross_weight,
     decode_erasures,
@@ -16,7 +17,7 @@ from rankloc.crisscross import (
     min_cover_exhaustive,
     validate_patterns,
 )
-from rankloc.gf import gfq_rank, gfq_row_reduce
+from rankloc.gf import base_tables, gfq_rank, gfq_row_reduce
 from rankloc.rng import SplitMix64
 
 from helpers import cover_oracle, rand_matrix, rand_nonzero_message
@@ -301,6 +302,89 @@ def test_decode_certified_pattern_with_undercounted_residual(tiny_code):
 
 # ---------------------------------------------------------------------------
 # nearest-codeword decoding
+
+
+def _table_product(a, b, q):
+    # schoolbook product through the GF(q) tables, one inner index at a time
+    t = base_tables(q)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[1]):
+        out = t.add[out, t.mul[a[:, i, None], b[i]]]
+    return out
+
+
+def _solve_known_per_word(gen, known_idx, vals, wanted_idx, q):
+    # the reference for the pattern solve: reduce [gen_K^T | vals^T], one
+    # augmented column per word, and check and read off in the same order
+    dim = gen.shape[0]
+    aug = np.hstack([gen[:, known_idx].T, vals.T]).astype(np.uint8)
+    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
+    rank = len(pivots)
+    if reduced[rank:, dim:].any():
+        raise ValueError("not a codeword restriction")
+    if rank < dim:
+        raise AmbiguousErasureError("erasure pattern exceeds guarantee")
+    return _table_product(reduced[:dim, dim:].T, gen[:, wanted_idx], q)
+
+
+def _solve_outcome(solve, *args):
+    try:
+        return solve(*args).tolist()
+    except (ValueError, AmbiguousErasureError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_solve_known_matches_per_word_elimination(q):
+    # random generators (some with repeated columns, so patterns can be
+    # ambiguous), random known sets including the empty one, and batches
+    # of 0, 1 and 2048 words that are consistent, carry one wrong symbol,
+    # or are random: values and the first refusal must agree
+    gen_rng = np.random.default_rng(700 + q)
+    seen = set()
+    for case in range(60):
+        dim = 1 + case % 5
+        cells = dim + int(gen_rng.integers(0, 8))
+        gen = gen_rng.integers(0, q, size=(dim, cells), dtype=np.uint8)
+        if case % 3 == 0 and cells > 1:
+            gen[:, 1] = gen[:, 0]
+        if case % 10 == 0:
+            known = np.arange(0)
+        elif case % 10 == 1 and dim > 1:
+            known = np.array([0, 1])  # rank at most 1 < dim
+        else:
+            known = np.sort(gen_rng.permutation(cells)[: int(gen_rng.integers(1, cells + 1))])
+        wanted = np.setdiff1d(np.arange(cells), known)
+        batch = (0, 1, 2048)[case % 3]
+        msgs = gen_rng.integers(0, q, size=(batch, dim), dtype=np.uint8)
+        vals = _table_product(msgs, gen[:, known], q)
+        mode = case % 4
+        if mode == 1 and vals.size:
+            vals[-1, -1] = (vals[-1, -1] + 1) % q
+        elif mode == 2:
+            vals = gen_rng.integers(0, q, size=vals.shape, dtype=np.uint8)
+        old = _solve_outcome(_solve_known_per_word, gen, known, vals, wanted, q)
+        new = _solve_outcome(_solve_known, gen, known, vals, wanted, q)
+        assert new == old, (case, dim, known.tolist(), batch, mode)
+        seen.add((batch, old if isinstance(old, str) else "solved"))
+    # every batch size meets every outcome, except that no word of an
+    # empty batch can be inconsistent
+    outcomes = ("solved", "ValueError", "AmbiguousErasureError")
+    assert seen == {(b, o) for b in (0, 1, 2048) for o in outcomes} - {(0, "ValueError")}
+
+
+def test_solve_known_checks_consistency_before_ambiguity():
+    # a repeated known column with two different values is inconsistent,
+    # and one known column cannot pin a 3-dimensional message: the
+    # inconsistency is reported, as the per-word elimination did
+    gen = np.array([[1, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.uint8)
+    known, wanted = np.array([0, 1]), np.array([2, 3])
+    vals = np.array([[0, 0], [1, 0]], dtype=np.uint8)
+    for solve in (_solve_known_per_word, _solve_known):
+        with pytest.raises(ValueError, match="not a codeword restriction"):
+            solve(gen, known, vals, wanted, 2)
+        with pytest.raises(AmbiguousErasureError):
+            solve(gen, known, vals[:1], wanted, 2)
 
 
 def test_min_distance_decode_exact_and_rank1(tiny_code):

@@ -214,6 +214,62 @@ def test_schoolbook_and_log_tables_agree():
             assert fast.frobenius(a, 2) == slow.frobenius(a, 2)
 
 
+def _scalar_log_tables(f, base):
+    # the reference for the doubling build: one schoolbook multiply per
+    # power, in the same table layout
+    period = f.order - 1
+    exp = np.zeros(4 * period + 1, dtype=np.int64)
+    log = np.full(f.order, 2 * period, dtype=np.int32)
+    v = 1
+    for i in range(period):
+        exp[i] = v
+        log[v] = i
+        v = f._mul_poly(v, base)
+    assert v == 1
+    exp[period : 2 * period] = exp[:period]
+    return exp, log
+
+
+_LOG_TABLE_FIELDS = (
+    [(2, m) for m in range(1, 17)]
+    + [(3, m) for m in range(1, 7)]
+    + [(5, m) for m in range(1, 5)]
+    + [(9, m) for m in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("q, m", _LOG_TABLE_FIELDS)
+def test_log_tables_match_the_scalar_loop(q, m):
+    # the blocked build is byte-identical to one schoolbook multiply per power
+    f = Field(FieldSpec.default(q, m))
+    exp, log = _scalar_log_tables(f, int(f._exp[1]))
+    assert f._exp.dtype == exp.dtype and f._exp.tobytes() == exp.tobytes()
+    assert f._log.dtype == log.dtype and f._log.tobytes() == log.tobytes()
+
+
+@pytest.mark.parametrize("power", [1, 5, 10, 256])
+def test_log_tables_rebased_to_omega(power):
+    # ref.spec's modulus x^9 + x^4 + 1 with w = x^power: the tables are
+    # built on x first, then rebuilt on w unless w = x
+    f = Field(FieldSpec(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1), power))
+    assert f._exp[1] == f.omega
+    exp, log = _scalar_log_tables(f, f.omega)
+    assert f._exp.tobytes() == exp.tobytes() and f._log.tobytes() == log.tobytes()
+
+
+def test_log_tables_refuse_a_non_primitive_base():
+    f = Field(FieldSpec.default(2, 9))
+    with pytest.raises(ValueError, match="not primitive"):
+        f._build_log_tables(base=0)
+
+
+def test_times_x_matches_schoolbook():
+    for q, m in [(2, 1), (2, 9), (3, 1), (3, 4), (4, 3), (9, 2)]:
+        f = Field(FieldSpec.default(q, m))
+        a = np.arange(f.order)
+        assert f.times_x(a).tolist() == [f._mul_poly(f.x, int(v)) for v in a]
+
+
 # ---------------------------------------------------------------------------
 # Frobenius
 

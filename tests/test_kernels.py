@@ -50,6 +50,35 @@ def test_matmul_prime_modular_oracle():
             assert (gfq_matmul(a, b, q) == ref).all()
 
 
+@pytest.mark.parametrize("inner", [0, 1, 63, 64, 65, 128, 129])
+def test_packed_gf2_matmul_matches_schoolbook(inner):
+    # GF(2) products run on words packed along the inner dimension; the
+    # word boundaries at 64 and 128 are where a packing slip would show
+    gen = np.random.default_rng(inner)
+    for rows, cols in [(5, 7), (1, 1), (0, 4), (4, 0), (0, 0)]:
+        a = gen.integers(0, 2, size=(rows, inner), dtype=np.uint8)
+        b = gen.integers(0, 2, size=(inner, cols), dtype=np.uint8)
+        got = gfq_matmul(a, b, 2)
+        assert got.dtype == np.uint8 and got.shape == (rows, cols)
+        assert (got == naive_matmul(a, b, 2)).all()
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 6), (9, 14), (14, 9), (20, 40), (0, 5), (5, 0)])
+def test_gf2_xor_row_reduce_matches_table_path(rows, cols):
+    # a 0/1 matrix reduces inside GF(2) whether read over GF(2) (row XORs)
+    # or over GF(4) (table gathers): 0 and 1 are closed under GF(4)'s
+    # characteristic-2 arithmetic, so both must give one reduced matrix
+    mats = _gf2_stack(rows * 100 + cols, 9, rows, cols)
+    for mat in mats:
+        for n_pivot in sorted({cols // 2, cols}):
+            xor, xor_piv = gfq_row_reduce(mat, 2, n_pivot)
+            table, table_piv = gfq_row_reduce(mat, 4, n_pivot)
+            assert xor.tolist() == table.tolist()
+            assert xor_piv.tolist() == table_piv.tolist()
+            if n_pivot == cols:
+                assert len(xor_piv) == naive_rank(mat, 2)
+
+
 def test_rank_batch_matches_scalar():
     rng = SplitMix64(31)
     mats = np.stack([rand_matrix(rng, 5, 6, 2) for _ in range(64)])
