@@ -5,10 +5,9 @@ reads (subtraction, multiplication and inversion for elimination, addition
 and multiplication for products; see ``gf.base_tables``), so one code path
 serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
-batch of matrices.  GF(2) takes bit-level shortcuts instead of tables:
-``rank_words`` ranks vectors packed as integer words by a leading-bit
-elimination, ``rank_batch`` packs GF(2) stacks up to 64 bits wide into
-uint64 words for it, ``matmul`` multiplies operands packed into uint64
+batch of matrices, GF(2) included.  GF(2) takes bit-level shortcuts
+elsewhere: ``rank_words`` ranks vectors packed as integer words by a
+leading-bit elimination, ``matmul`` multiplies operands packed into uint64
 words along the inner dimension (Albrecht, Bard and Hart, ACM TOMS 2010),
 and row reduction clears a column by XORing the pivot row into the others.
 No path uses floating point or BLAS: every product is exact.
@@ -28,7 +27,7 @@ def _reduce(mat, sub, mul, inv, n_pivot_cols):
     pivots = []
     r = 0
     for col in range(n_pivot_cols):
-        below = np.flatnonzero(work[r:, col])
+        below = work[r:, col].nonzero()[0]
         if not below.size:
             continue
         piv = r + below[0]
@@ -37,7 +36,7 @@ def _reduce(mat, sub, mul, inv, n_pivot_cols):
         p = work[r, col]
         if p != 1:
             work[r] = mul[inv[p], work[r]]
-        nz = np.flatnonzero(work[:, col])
+        nz = work[:, col].nonzero()[0]
         nz = nz[nz != r]
         if nz.size:
             if binary:
@@ -96,7 +95,7 @@ def _pack_words(bits):
     return packed.view("<u8")
 
 
-def _rank_batch_tables(mats, sub, mul, inv):
+def rank_batch(mats, sub, mul, inv):
     # one elimination driven across the whole batch: per-column pivot
     # search, swap, normalize and clear-below as fancy-indexed table
     # lookups, with an independent pivot cursor r[b] per matrix
@@ -127,19 +126,6 @@ def _rank_batch_tables(mats, sub, mul, inv):
         if (r == rows).all():
             break
     return r
-
-
-def rank_batch(mats, sub, mul, inv):
-    mats = np.asarray(mats, dtype=np.uint8)
-    if mats.ndim != 3:
-        raise ValueError("expected a (batch, rows, cols) array")
-    # GF(2) stacks up to 64 bits on their shorter side (rank is invariant
-    # under transposition) go to the word elimination
-    if len(inv) == 2 and min(mats.shape[1:]) <= 64:
-        if mats.shape[1] < mats.shape[2]:
-            mats = mats.transpose(0, 2, 1)
-        return rank_words(_pack_words(mats)[:, :, 0])
-    return _rank_batch_tables(mats, sub, mul, inv)
 
 
 def matmul(a, b, add, mul):

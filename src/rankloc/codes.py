@@ -123,6 +123,8 @@ class _EvaluationCode:
         self._basis: np.ndarray | None = None
         self._tables: list[tuple[int, int, np.ndarray]] | None = None
         self._gen_gfq: np.ndarray | None = None
+        # transposed parity-check rows, cached by crisscross's decoder
+        self._parity: np.ndarray | None = None
 
     @property
     def n(self) -> int:

@@ -17,7 +17,6 @@ predicate is advisory, the solver's uniqueness check is authoritative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .codes import (
     _EvaluationCode,
     rank_distance_bound,
 )
-from .gf import base_tables, gfq_matmul, gfq_rank, gfq_rank_batch, gfq_row_reduce
+from .gf import gfq_matmul, gfq_rank, gfq_rank_codes, gfq_row_reduce
 
 
 class AmbiguousErasureError(RuntimeError):
@@ -268,6 +267,19 @@ class ErasureDecodeResult:
         return out
 
 
+def _pattern_solve(gen: np.ndarray, known_idx: np.ndarray, q: int) -> tuple[int, np.ndarray]:
+    """(rank, E) from one reduction of [gen_K^T | I], pivots in the first dim columns.
+
+    The right block E satisfies E @ gen_K^T = [I; 0] (rank rows of I): rows
+    past the rank check that values on the known cells K come from a
+    codeword, and at full rank the first dim rows map them to the message.
+    """
+    dim = gen.shape[0]
+    aug = np.hstack([gen[:, known_idx].T, np.eye(len(known_idx), dtype=np.uint8)])
+    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
+    return len(pivots), reduced[:, dim:]
+
+
 def _solve_known(
     gen: np.ndarray,
     known_idx: np.ndarray,
@@ -277,30 +289,41 @@ def _solve_known(
 ) -> np.ndarray:
     """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
 
-    The solve depends only on the pattern: reducing [gen_K^T | I] once,
-    pivots in the first dim columns, leaves a right block E with
-    E @ gen_K^T = [I; 0] (rank rows of I).  Rows past the rank are the
-    consistency checks, and the first dim rows map the known values to the
-    message, so the whole batch costs two products: vals @ E[rank:]^T and
-    vals @ (E[:dim]^T @ gen[:, wanted]).
+    The solve depends only on the pattern (``_pattern_solve``), so the whole
+    batch costs one product: vals @ [E[rank:]^T | E[:dim]^T @ gen[:, wanted]]
+    gives the consistency checks and the wanted cells side by side.
 
     Raises ValueError for inconsistent data and AmbiguousErasureError when
     the known cells do not pin the message down (equivalently, a nonzero
     codeword vanishes on them).
     """
     dim = gen.shape[0]
-    known = len(known_idx)
-    aug = np.hstack([gen[:, known_idx].T, np.eye(known, dtype=np.uint8)])
-    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
-    rank = len(pivots)
-    solve = reduced[:, dim:]
-    if gfq_matmul(known_vals, np.ascontiguousarray(solve[rank:].T), q).any():
+    rank, solve = _pattern_solve(gen, known_idx, q)
+    right = solve[rank:].T
+    checks = right.shape[1]
+    if rank == dim:
+        # pivot columns are exactly 0..dim-1, so u = vals @ E[:dim]^T
+        repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
+        right = np.hstack([right, repair])
+    out = gfq_matmul(known_vals, np.ascontiguousarray(right), q)
+    if out[:, :checks].any():
         raise ValueError("not a codeword restriction")
     if rank < dim:
         raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    # pivot columns are exactly 0..dim-1, so u = vals @ E[:dim]^T
-    repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
-    return gfq_matmul(known_vals, repair, q)
+    return out[:, checks:]
+
+
+def _parity_checks(code: LocalRankCode) -> np.ndarray:
+    """H^T with flat @ H^T = 0 exactly for column-major flattened codewords.
+
+    These are the consistency rows of ``_pattern_solve`` with every cell
+    known, cached on the code, so membership costs one product per batch.
+    """
+    if code._parity is None:
+        gen = code.generator_gfq()
+        rank, solve = _pattern_solve(gen, np.arange(gen.shape[1]), code.q)
+        code._parity = np.ascontiguousarray(solve[rank:].T)
+    return code._parity
 
 
 def decode_erasures_batch(
@@ -311,7 +334,10 @@ def decode_erasures_batch(
     Stage one solves each rack whose restricted erasure weight is below
     delta against the rack's own generator; stage two solves the residual
     against the full generator.  Values at erased positions in the input
-    are ignored.
+    are ignored.  Every returned word is a codeword: when no global solve
+    ran, the words are checked against the code's parity checks, and a
+    batch holding any non-codeword, such as a word with a corrupted
+    surviving cell, raises ValueError instead.
     """
     p = code.params
     mask = _as_mask(erasures)
@@ -353,12 +379,15 @@ def decode_erasures_batch(
 
     used_global = bool(pending.any())
     if used_global:
+        # a global solve checks every known cell for consistency and fills
+        # the rest from the one message, so its words are codewords already
         gen = code.generator_gfq()
         known = np.nonzero(~pending)[0]
         wanted = np.nonzero(pending)[0]
         rec = _solve_known(gen, known, flat[:, known], wanted, p.q)
         flat[:, wanted] = rec
-
+    elif gfq_matmul(flat, _parity_checks(code), p.q).any():
+        raise ValueError("decoded word is not a codeword")
     out = flat.reshape(received.shape[0], p.n, m).transpose(0, 2, 1)
     return ErasureDecodeResult(
         matrices=np.ascontiguousarray(out),
@@ -408,16 +437,15 @@ def decode_min_distance(
     """
     f = code.field
     received = np.asarray(received, dtype=np.uint8)
-    mats = code.codeword_matrices(budget)
-    if received.shape != mats.shape[1:]:
+    codes = code.codeword_codes(budget)
+    if received.shape != (f.m, code.n):
         raise ValueError("received shape mismatch")
-    t = base_tables(f.q)
-    diffs = t.sub[mats, received[None, :, :]]
-    ranks = gfq_rank_batch(diffs, f.q)
+    diffs = f.sub_vec(codes, np.asarray(f.from_matrix(received)))
+    ranks = gfq_rank_codes(diffs, f.q, f.m)
     dmin = int(ranks.min())
     idx = np.nonzero(ranks == dmin)[0]
     return NearestCodeword(
         distance=dmin,
         indices=[int(i) for i in idx],
-        matrices=[mats[i].copy() for i in idx],
+        matrices=list(f.matrix_batch(codes[idx])),
     )

@@ -11,6 +11,8 @@ for the candidates whose lifted space contains the received row space
 (``solve_download``), which are exactly the nearest ones whenever any
 exists, and only when none does by ranking every enumerated candidate
 (``local_candidates`` and ``decode_subspace_min``, built on first need).
+Candidates and received rows are ranked as base-q packed vectors, the
+lifted form ``subspace.lift_codes`` and ``subspace.pack_rows`` write.
 
 Every trial draws its own generator stream from (seed, trial index), so
 runs are reproducible and order independent; reports compare equal across
@@ -26,9 +28,9 @@ import numpy as np
 
 from .codes import DEFAULT_ORACLE_BUDGET, LocalRankCode, OracleBudgetError
 from .crisscross import AmbiguousErasureError, _solve_known
-from .gf import base_tables, gfq_matmul, gfq_rank
+from .gf import _digit_rows, base_tables, gfq_matmul, gfq_rank, gfq_rank_codes
 from .rng import SplitMix64
-from .subspace import lift_batch, rcef, subspace_distance_batch
+from .subspace import lift_codes, pack_rows
 
 _MAX_REJECTIONS = 10_000
 
@@ -65,8 +67,10 @@ def transmit_matrix(code: LocalRankCode, codeword: np.ndarray, j: int) -> np.nda
     if codeword.shape != (p.m, p.n):
         raise ValueError("codeword shape mismatch")
     cols = code.rack_columns(j)
-    block = codeword[None, :, cols.start : cols.stop]
-    return lift_batch(block, p.n, cols)[0].T
+    x = np.zeros((len(cols), p.n + p.m), dtype=np.uint8)
+    x[range(len(cols)), cols] = 1
+    x[:, p.n :] = codeword[:, cols.start : cols.stop].T
+    return x
 
 
 @dataclass(frozen=True)
@@ -123,14 +127,13 @@ def channel_apply(x: np.ndarray, config: ChannelConfig, rng: SplitMix64, q: int 
 
 def local_candidates(
     code: LocalRankCode, j: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lifted bases of rack j's local code in the full packet ambient.
+) -> np.ndarray:
+    """Rack j's local codewords as a (B, s) array of element codes.
 
-    Returns (bases, mats): bases[i] is the (n+m) x s basis whose columns
-    are the packets for local codeword mats[i].
+    Candidate i's packets are the ``lift_codes`` columns of row i placed on
+    the rack's global columns.
     """
-    mats = code.local_code(j).codeword_matrices(budget)
-    return lift_batch(mats, code.params.n, code.rack_columns(j)), mats
+    return code.local_code(j).codeword_codes(budget)
 
 
 @dataclass(frozen=True)
@@ -142,16 +145,23 @@ class DownloadDecodeResult:
 
 
 def decode_subspace_min(
-    bases: np.ndarray, mats: np.ndarray, received: np.ndarray, q: int = 2
+    candidates: np.ndarray, n: int, cols: range, received: np.ndarray, q: int = 2
 ) -> DownloadDecodeResult:
     """Minimum-subspace-distance decoding over an enumerated candidate family.
 
-    The received matrix is reduced to a basis of its row space; distances
-    are computed batch-wise from the ranks of stacked bases.  A shared
-    minimum is a tie, which callers count as failure.
+    ``candidates`` holds rack codewords as element codes (``local_candidates``)
+    of the rack on global columns ``cols`` of an n-column code.  Each
+    candidate's lifted columns are ranked stacked with the received rows,
+    packed by ``pack_rows``, so its distance is 2 rank - s - rank Y with rank Y
+    computed once.  A shared minimum is a tie, which callers count as
+    failure.
     """
-    y_basis = rcef(np.ascontiguousarray(np.asarray(received, dtype=np.uint8).T), q)
-    dists = subspace_distance_batch(bases, y_basis, q)
+    width = np.shape(received)[1]
+    y_codes = pack_rows(received, q)
+    lifted = lift_codes(candidates, n, cols, q)
+    stacked = np.hstack([lifted, np.broadcast_to(y_codes, (len(lifted), len(y_codes)))])
+    rank_y = int(gfq_rank_codes(y_codes[None], q, width)[0])
+    dists = 2 * gfq_rank_codes(stacked, q, width) - len(cols) - rank_y
     best = int(dists.argmin())
     dmin = int(dists[best])
     ties = int((dists == dmin).sum())
@@ -159,7 +169,8 @@ def decode_subspace_min(
         index=best,
         distance=dmin,
         is_tie=ties > 1,
-        local_matrix=mats[best],
+        # the element codes' coordinate matrix, as ``Field.matrix_batch``
+        local_matrix=_digit_rows(candidates[best], q, width - n),
     )
 
 
@@ -275,7 +286,7 @@ def run_trials(
                 if candidates is None:
                     candidates = local_candidates(code, j, budget)
                 enumerated += 1
-                result = decode_subspace_min(*candidates, out.received, p.q)
+                result = decode_subspace_min(candidates, p.n, cols, out.received, p.q)
                 got = None if result.is_tie else result.local_matrix
         if got is not None and (got == codeword[:, cols.start : cols.stop]).all():
             successes += 1

@@ -15,7 +15,7 @@ code, and the two are compared rather than merged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .codes import (
     _EvaluationCode,
     min_rank_distance,
 )
-from .gf import gfq_rank, gfq_rank_batch, gfq_rank_codes, gfq_row_reduce
+from .gf import gfq_rank, gfq_rank_codes, gfq_row_reduce
 from .rng import SplitMix64
 
 
@@ -85,36 +85,27 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     return 2 * gfq_rank(np.ascontiguousarray(joint.T), u.q) - u.dim - v.dim
 
 
-def subspace_distance_batch(left: np.ndarray, right: np.ndarray, q: int = 2) -> np.ndarray:
-    """Subspace distances 2 rank([L | R]) - dim L - dim R over a batch.
+def lift_codes(codes: np.ndarray, n: int, cols: Sequence[int], q: int) -> np.ndarray:
+    """(B, w) codeword-code blocks -> (B, w) lifted columns packed as uint64.
 
-    ``left`` is a (B, M, a) stack of column bases; ``right`` is either a
-    matched (B, M, b) stack or one (M, b) basis shared by every entry.
-    Columns of each basis must be independent, so its width is its
-    dimension.  All B stacked pairs are ranked in one batch call.
+    Column i of a block, lifted with unit vector cols[i] of GF(q)^n on top,
+    is the vector of GF(q)^(n+m) whose base-q code is q^cols[i] + code * q^n:
+    a whole codeword passes range(n), a column block its global columns.
+    Every buildable field has q^m <= 2^32 and n <= m, so q^(n+m) <= 2^64
+    and the packed value fits uint64 exactly.
     """
-    count, ambient, a = left.shape
-    if right.shape[-2] != ambient:
-        raise ValueError("ambient dimension mismatch")
-    b = right.shape[-1]
-    stacked = np.empty((count, a + b, ambient), dtype=np.uint8)
-    stacked[:, :a] = left.transpose(0, 2, 1)
-    stacked[:, a:] = np.swapaxes(right, -1, -2)
-    return 2 * gfq_rank_batch(stacked, q).astype(np.int64) - a - b
+    units = np.uint64(q) ** np.asarray(cols, dtype=np.uint64)
+    return np.asarray(codes).astype(np.uint64) * np.uint64(q**n) + units
 
 
-def lift_batch(mats: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
-    """(B, m, w) codeword blocks -> (B, n+m, w) lifted bases.
+def pack_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """(..., w) GF(q) vectors -> (...) uint64 codes, coordinate d as digit d.
 
-    Column i of every block gets unit vector cols[i] of GF(q)^n on top: a
-    whole codeword passes range(n), a column block its global columns.
+    The form ``lift_codes`` writes, for vectors given by coordinates, such
+    as received packets; w <= n + m keeps every code exact in uint64.
     """
-    mats = np.asarray(mats, dtype=np.uint8)
-    count, m, width = mats.shape
-    bases = np.zeros((count, n + m, width), dtype=np.uint8)
-    bases[:, list(cols), range(width)] = 1
-    bases[:, n:] = mats
-    return bases
+    rows = np.asarray(rows, dtype=np.uint8)
+    return rows.astype(np.uint64) @ np.uint64(q) ** np.arange(rows.shape[-1], dtype=np.uint64)
 
 
 def lift(mat: np.ndarray, q: int = 2) -> Subspace:
@@ -125,8 +116,7 @@ def lift(mat: np.ndarray, q: int = 2) -> Subspace:
     injective.
     """
     mat = np.asarray(mat, dtype=np.uint8)
-    m, n = mat.shape
-    basis = lift_batch(mat[None], n, range(n))[0]
+    basis = np.vstack([np.eye(mat.shape[1], dtype=np.uint8), mat])
     basis.setflags(write=False)
     return Subspace(q=q, basis=basis)
 
@@ -153,17 +143,6 @@ class LiftedCode:
     def codeword_count(self) -> int:
         return self.source.codeword_count
 
-    def bases(self, budget: int = DEFAULT_ORACLE_BUDGET) -> np.ndarray:
-        """All lifted bases as a (B, m+n, n) array, gated by the budget."""
-        n = self.source.n
-        return lift_batch(self.source.codeword_matrices(budget), n, range(n))
-
-    def subspaces(self, budget: int = DEFAULT_ORACLE_BUDGET) -> Iterator[Subspace]:
-        for word in self.bases(budget):
-            word = word.copy()
-            word.setflags(write=False)
-            yield Subspace(q=self.q, basis=word)
-
 
 def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """``pairs`` index pairs i != j from range(count), drawing i then j each."""
@@ -177,23 +156,11 @@ def _lifted_distances(
 ) -> np.ndarray:
     """Subspace distances between lifted (B, w) codeword-code blocks.
 
-    The code form of ``lift_batch``: column i of a block, lifted with unit
-    vector cols[i] of GF(q)^n on top, is the vector of GF(q)^(n+m) packed
-    as q^cols[i] + code * q^n.  Pair t stacks left[t] with right[t], and
-    all B stacked pairs are ranked in one batch call.
+    Pair t stacks the ``lift_codes`` columns of left[t] with those of
+    right[t], and all B stacked pairs are ranked in one batch call.
     """
-    units = q ** np.asarray(cols, dtype=np.int64)
-    stacked = np.hstack([block * q**n + units for block in (left, right)])
-    return 2 * gfq_rank_codes(stacked, q, n + m) - 2 * len(units)
-
-
-def _pairwise_min_distance(
-    left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int, m: int
-) -> int:
-    """Minimum of ``_lifted_distances`` over at least one pair."""
-    if len(left) == 0:
-        raise ValueError("degenerate")
-    return int(_lifted_distances(left, right, n, cols, q, m).min())
+    stacked = np.hstack([lift_codes(block, n, cols, q) for block in (left, right)])
+    return 2 * gfq_rank_codes(stacked, q, n + m) - 2 * len(cols)
 
 
 def min_subspace_distance(
@@ -329,7 +296,7 @@ def verify_subspace_locality(
                 i, i2 = _sample_pairs(SplitMix64(seed + j), sample_pairs, sample_pairs)
                 pair_msgs = pool[i], pool[i2]
             left, right = (local.encode_batch(msgs) for msgs in pair_msgs)
-        dist = _pairwise_min_distance(left, right, p.n, cols, p.q, p.m)
+        dist = int(_lifted_distances(left, right, p.n, cols, p.q, p.m).min())
         blocks.append(
             BlockLocality(
                 block=j,

@@ -13,6 +13,7 @@ import numpy as np
 from rankloc import gf
 from rankloc.gf import Field, FieldSpec
 from rankloc.rng import SplitMix64
+from rankloc.subspace import Subspace
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,3 +143,14 @@ def subfield_elements(field, s):
     """All elements of the subfield GF(q^s) inside this field."""
     assert field.m % s == 0
     return [a for a in range(field.order) if field.frobenius(a, s) == a]
+
+
+def lifted_subspace(field, codes, n, cols):
+    """The lift of one codeword block by its definition: the column span of
+    unit vectors cols[i] of GF(q)^n stacked on the block's coordinate
+    columns, built from the matrix form rather than from packed codes."""
+    mat = field.to_matrix([int(c) for c in codes])
+    basis = np.zeros((n + field.m, len(cols)), dtype=np.uint8)
+    basis[list(cols), range(len(cols))] = 1
+    basis[n:] = mat
+    return Subspace.from_matrix(basis, field.q)

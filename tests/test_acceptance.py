@@ -129,7 +129,7 @@ def test_criterion_3_weight_equals_min_cover_all_4x4():
 def test_criterion_4_erasure_soundness_tiny():
     start = time.perf_counter()
     code = build_code(2, 6, 6, 2, 1, 2)
-    mats = code.codeword_matrices()
+    mats = code.field.matrix_batch(code.codeword_codes())
     checked = 0
 
     # every union of whole rows and whole columns with weight <= 3
@@ -353,7 +353,7 @@ def test_criterion_9_property_suites():
     # nonzero codewords keep rank >= n - (largest q-exponent); at reference
     # scale this is the sampled stand-in for the 2^36 distance scan
     tiny = build_code(2, 6, 6, 2, 1, 2)
-    ranks = gfq_rank_batch(tiny.codeword_matrices()[1:], 2)
+    ranks = gfq_rank_batch(tiny.field.matrix_batch(tiny.codeword_codes())[1:], 2)
     assert int(ranks.min()) >= 6 - max(tiny.exponents)
     observed = sampled_min_rank(code9, samples=10_000, seed=909)
     floor = 9 - max(code9.exponents)

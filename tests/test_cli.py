@@ -285,6 +285,23 @@ def test_inject_with_error_values(ws, capsys):
     assert flips == 1
 
 
+def test_decode_refuses_a_corrupted_cell(ws, capsys):
+    # an E cell with no erasures is not a codeword: exit 2, never a verdict
+    encode_reference(ws, capsys)
+    (ws / "err.pat").write_text("\n".join(["E" + "." * 8] + ["." * 9] * 8) + "\n")
+    (ws / "err.val").write_text("1\n")
+    run(capsys, "inject", "--spec", ws / "ref.spec", "--codeword", ws / "cw.txt",
+        "--pattern", ws / "err.pat", "--errors", ws / "err.val", "--out", ws / "recv.txt")
+    code, out, err = run(
+        capsys, "decode", "--spec", ws / "ref.spec", "--received", ws / "recv.txt",
+        "--out", ws / "back.txt",
+    )
+    assert code == 2
+    assert out == "FAIL\n"
+    assert "decoded word is not a codeword" in err
+    assert not (ws / "back.txt").exists()
+
+
 def test_verify_tiny_exact(ws, capsys):
     code, out, _ = run(capsys, "verify", "--spec", ws / "tiny.spec")
     assert code == 0
@@ -356,6 +373,19 @@ def test_verify_sampled_ranks_codes_without_unpacking(ws, capsys, monkeypatch):
     )
     assert code == 0 and out.endswith("PASS (sampled)\n")
     assert calls == []
+
+
+def test_verify_sampled_on_a_64_bit_lift(ws, capsys):
+    # GF(4^16) with n = 16: lifted columns are 2^64-valued packed codes
+    (ws / "wide.spec").write_text(
+        "q=4\nm=16\nn=16\nk=2\nr=1\ndelta=1\n"
+        "modulus=2,1,0,2,0,0,0,0,3,1,3,0,1,3,3,1,1\n"
+    )
+    code, out, err = run(
+        capsys, "verify", "--spec", ws / "wide.spec", "--mode", "sampled", "--samples", "50",
+    )
+    assert code == 0, err
+    assert out.endswith("subspace-locality (1,2): PASS (sampled)\n")
 
 
 def test_verify_reference_exact_overruns_budget(ws, capsys):

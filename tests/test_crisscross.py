@@ -178,7 +178,7 @@ def test_correctable_verdicts_are_sound(tiny_code):
     # can be absorbed by the existing cover while adding a discountable
     # local share, so verdicts may climb.  Soundness is the contract.)
     code = tiny_code
-    mats = code.codeword_matrices()
+    mats = code.field.matrix_batch(code.codeword_codes())
     rng = SplitMix64(431)
     certified = 0
     for _ in range(120):
@@ -232,8 +232,62 @@ def test_decode_no_erasures_is_identity(tiny_code):
     assert res.verdict_lines() == ["GLOBAL"]  # nothing solved locally
 
 
+def _is_codeword(code, word):
+    # membership by the generator's rank, not by the decoder's parity checks
+    gen = code.generator_gfq()
+    flat = np.asarray(word, dtype=np.uint8).flatten(order="F")
+    return gfq_rank(np.vstack([gen, flat]), code.q) == gfq_rank(gen.copy(), code.q)
+
+
+def test_decode_refuses_reference_non_codewords(example2_code):
+    # a flipped surviving cell used to pass through: with no erasures as a
+    # GLOBAL verdict, and with rack 3 partly erased as LOCAL j=3
+    code = example2_code
+    f = code.field
+    golden = code.encode_matrix([f.omega_pow(e) for e in (1, 2, 4, 8)])
+    flip_00 = golden.copy()
+    flip_00[0, 0] ^= 1
+    col_6 = np.zeros((9, 9), dtype=np.uint8)
+    col_6[:, 6] = 1
+    flip_47 = golden.copy()
+    flip_47[4, 7] ^= 1
+    for received, mask in ((flip_00, np.zeros_like(col_6)), (flip_47, col_6)):
+        with pytest.raises(ValueError, match="decoded word is not a codeword"):
+            decode_erasures(code, received, mask)
+        # one bad word refuses the whole batch
+        with pytest.raises(ValueError, match="decoded word is not a codeword"):
+            decode_erasures_batch(code, np.stack([golden, received]), mask)
+        assert (decode_erasures(code, golden, mask).matrix == golden).all()
+
+
+@pytest.mark.parametrize("which", ["tiny", "reference"])
+def test_decode_never_returns_a_non_codeword(which, tiny_code, example2_code):
+    # random codeword, random erasures, then 1-2 flips in surviving cells:
+    # the decoder never rewrites a surviving cell, so it cannot return the
+    # sent word; whatever it does return must be a codeword
+    code = tiny_code if which == "tiny" else example2_code
+    p = code.params
+    rng = np.random.default_rng(len(which))
+    refused = 0
+    for trial in range(120):
+        msg = rng.integers(0, code.field.order, size=(1, p.k))
+        sent = code.field.matrix_batch(code.encode_batch(msg))[0]
+        mask = (rng.random((p.m, p.n)) < (0.05, 0.15, 0.3)[trial % 3]).astype(np.uint8)
+        received = sent.copy()
+        rows, cols = np.nonzero(mask == 0)
+        for cell in rng.choice(len(rows), size=1 + trial % 2, replace=False):
+            received[rows[cell], cols[cell]] ^= 1
+        try:
+            res = decode_erasures(code, received, mask)
+        except (ValueError, AmbiguousErasureError):
+            refused += 1
+            continue
+        assert _is_codeword(code, res.matrix) and not (res.matrix == sent).all()
+    assert refused > 0
+
+
 def test_decode_batch_matches_single(tiny_code):
-    mats = tiny_code.codeword_matrices()
+    mats = tiny_code.field.matrix_batch(tiny_code.codeword_codes())
     mask = np.zeros((6, 6), dtype=np.uint8)
     mask[0, :] = 1
     mask[3, 2] = 1
@@ -292,7 +346,7 @@ def test_decode_certified_pattern_with_undercounted_residual(tiny_code):
     corner[1:4, 2:6] = 1
     rep = correctable(code, corner)
     assert rep.verdict == "GLOBAL" and rep.discounted_weight == 3
-    mats = code.codeword_matrices()
+    mats = code.field.matrix_batch(code.codeword_codes())
     sub = mats[1:].copy()
     sub[:, 0:4, 2:6] = 0
     assert sub.reshape(sub.shape[0], -1).any(axis=1).all()  # none vanish outside
@@ -404,7 +458,7 @@ def test_min_distance_decode_reports_ties(tiny_code):
     # split a minimum-rank codeword c into rank-2 halves E1 + E2; the word
     # E1 then sits at distance 2 from both 0 and c
     code = tiny_code
-    mats = code.codeword_matrices()
+    mats = code.field.matrix_batch(code.codeword_codes())
     from rankloc.gf import gfq_rank_batch
 
     ranks = gfq_rank_batch(mats, 2)

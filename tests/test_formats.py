@@ -235,7 +235,7 @@ def test_received_round_trip():
 
 
 def test_subspace_round_trip(tiny_code):
-    mats = tiny_code.codeword_matrices()
+    mats = tiny_code.field.matrix_batch(tiny_code.codeword_codes())
     basis = rcef(np.vstack([np.eye(6, dtype=np.uint8), mats[77]]).reshape(12, 6))
     text = format_subspace(basis)
     assert "M=12 dim=6" in text

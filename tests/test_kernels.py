@@ -99,21 +99,6 @@ def _gf2_stack(seed, count, rows, cols):
 
 
 @pytest.mark.parametrize(
-    "rows, cols",
-    [(3, 9), (9, 3), (6, 6), (64, 64), (100, 64), (65, 130), (130, 65), (0, 4), (4, 0)],
-)
-def test_packed_gf2_rank_batch_matches_table_path(rows, cols):
-    # GF(2) stacks take the packed-word elimination; the table-driven one
-    # every other q uses is the oracle
-    t = base_tables(2)
-    mats = _gf2_stack(rows * 1000 + cols, 30, rows, cols)
-    packed = _kernels.rank_batch(mats, t.sub, t.mul, t.inv)
-    table = _kernels._rank_batch_tables(mats, t.sub, t.mul, t.inv)
-    assert packed.tolist() == table.tolist()
-    assert (packed[0::3] == 0).all()
-
-
-@pytest.mark.parametrize(
     "rows, bits", [(1, 1), (3, 9), (9, 9), (12, 18), (5, 64), (12, 64), (40, 7), (0, 8)]
 )
 def test_rank_words_matches_oracles(rows, bits):
@@ -125,7 +110,7 @@ def test_rank_words_matches_oracles(rows, bits):
         mats[2::3, 0] = 1  # an all-ones row: with bits = 64 the top bit is set
     words = (mats.astype(np.uint64) << np.arange(bits, dtype=np.uint64)).sum(axis=2)
     got = _kernels.rank_words(words)
-    assert got.tolist() == _kernels._rank_batch_tables(mats, t.sub, t.mul, t.inv).tolist()
+    assert got.tolist() == _kernels.rank_batch(mats, t.sub, t.mul, t.inv).tolist()
     for b in range(6):
         assert got[b] == naive_rank(mats[b], 2)
     assert (got[0::3] == 0).all()
@@ -138,7 +123,7 @@ def test_rank_words_keeps_unsigned_dtype():
     mats = _gf2_stack(1616, 30, 12, 16)
     mats[2::3, 0] = 1
     words = (mats.astype(np.uint64) << np.arange(16, dtype=np.uint64)).sum(axis=2)
-    expected = _kernels._rank_batch_tables(mats, t.sub, t.mul, t.inv).tolist()
+    expected = _kernels.rank_batch(mats, t.sub, t.mul, t.inv).tolist()
     for dtype in (np.uint16, np.uint32, np.uint64):
         assert _kernels.rank_words(words.astype(dtype)).tolist() == expected
 

@@ -19,7 +19,9 @@ from rankloc.netsim import (
     transmit_matrix,
 )
 from rankloc.rng import SplitMix64, mix64
-from rankloc.subspace import Subspace, rcef, subspace_distance, subspace_distance_batch
+from rankloc.subspace import Subspace, lift_codes, pack_rows, subspace_distance
+
+from helpers import lifted_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +129,11 @@ def test_transmit_matrix_structure(tiny_code):
     assert x[0, :6].tolist() == [0, 0, 1, 0, 0, 0]
     assert x[1, :6].tolist() == [0, 0, 0, 1, 0, 0]
     assert (x[0, 6:] == cw[:, 2]).all() and (x[1, 6:] == cw[:, 3]).all()
-    # the packets are the columns of the rack's lifted candidate basis
-    bases, mats = local_candidates(code, 2)
-    (sent,) = [i for i in range(len(mats)) if (mats[i] == cw[:, 2:4]).all()]
-    assert (x.T == bases[sent]).all()
+    # the packets are the rack's lifted candidate, by definition and packed
+    cands = local_candidates(code, 2)
+    (sent,) = [i for i in range(len(cands)) if cands[i].tolist() == f.from_matrix(cw[:, 2:4])]
+    assert Subspace.from_matrix(x.T) == lifted_subspace(f, cands[sent], 6, range(2, 4))
+    assert (pack_rows(x, 2) == lift_codes(cands[sent], 6, range(2, 4), 2)).all()
     with pytest.raises(ValueError, match="shape"):
         transmit_matrix(code, cw[:3], 2)
 
@@ -183,9 +186,9 @@ def test_decode_noiseless_roundtrip(tiny_code):
     x = transmit_matrix(code, cw, 2)
     cfg = ChannelConfig(packets_per_rack=2, n_collect=3, rho_max=0, t_max=0, links=4, seed=9)
     out = channel_apply(x, cfg, SplitMix64(5))
-    bases, mats = local_candidates(code, 2)
-    assert bases.shape == (64, 12, 2)
-    res = decode_subspace_min(bases, mats, out.received)
+    cands = local_candidates(code, 2)
+    assert cands.shape == (64, 2)
+    res = decode_subspace_min(cands, 6, range(2, 4), out.received)
     assert not res.is_tie and res.distance == 0
     assert (res.local_matrix == cw[:, 2:4]).all()
 
@@ -194,22 +197,24 @@ def test_decode_distances_match_pairwise_oracle(tiny_code):
     # one shared received basis against every candidate, including
     # rank-deficient received spaces (rho = 1) and injected errors
     code = tiny_code
-    cw = code.encode_matrix([code.field.omega_pow(13), code.field.omega_pow(44)])
+    f = code.field
+    cw = code.encode_matrix([f.omega_pow(13), f.omega_pow(44)])
     x = transmit_matrix(code, cw, 2)
-    bases, mats = local_candidates(code, 2)
+    cands = local_candidates(code, 2)
+    spaces = [lifted_subspace(f, c, 6, range(2, 4)) for c in cands]
     cfg = ChannelConfig(packets_per_rack=2, n_collect=3, rho_max=1, t_max=1, links=4, seed=3)
     rng = SplitMix64(17)
     dims = set()
     for _ in range(12):
         out = channel_apply(x, cfg, rng)
-        y_basis = rcef(out.received.T)
-        dims.add(y_basis.shape[1])
-        y = Subspace(q=2, basis=y_basis)
-        expected = [subspace_distance(Subspace(q=2, basis=b), y) for b in bases]
-        assert subspace_distance_batch(bases, y_basis, 2).tolist() == expected
-        res = decode_subspace_min(bases, mats, out.received)
-        assert res.distance == min(expected)
+        y = Subspace.from_matrix(out.received.T)
+        dims.add(y.dim)
+        expected = [subspace_distance(u, y) for u in spaces]
+        res = decode_subspace_min(cands, 6, range(2, 4), out.received)
+        assert res.distance == min(expected) == expected[res.index]
+        assert res.index == expected.index(min(expected))
         assert res.is_tie == (expected.count(min(expected)) > 1)
+        assert (res.local_matrix == f.matrix_batch(cands[res.index])).all()
     assert 1 in dims and len(dims) > 1  # a rank-deficient space was checked
 
 
@@ -246,6 +251,15 @@ def test_run_trials_frozen_stats(tiny_code):
     rep2 = run_trials(tiny_code, 1, beyond, 1000)
     assert rep2.histogram == (((0, 0), 528), ((0, 1), 472))
     assert rep2.successes == 995  # 2t + rho = 2 > delta - 1: failures appear
+
+
+def test_reference_enumeration_frozen_stats(example2_code):
+    # regression pin for the enumeration fallback at reference scale: each
+    # trial with an injected error packet ranks all 262144 rack candidates
+    cfg = ChannelConfig(packets_per_rack=3, n_collect=3, rho_max=0, t_max=1, links=6, seed=1)
+    rep = run_trials(example2_code, 2, cfg, 20)
+    assert rep.histogram == (((0, 0), 7), ((0, 1), 13))
+    assert rep.successes == 19 and rep.enumerated == 11
 
 
 def test_run_trials_validation(tiny_code, example2_code):
@@ -286,7 +300,7 @@ def test_solve_agrees_with_enumeration():
         p = code.params
         local_gen = code.local_code(j).generator_gfq()
         cols = code.rack_columns(j)
-        bases, mats = local_candidates(code, j)
+        cands = local_candidates(code, j)
         root = SplitMix64(cfg.seed)
         nones = successes = 0
         for trial in range(40):
@@ -294,7 +308,7 @@ def test_solve_agrees_with_enumeration():
             message = [rng.randbelow(code.field.order) for _ in range(p.k)]
             codeword = code.encode_matrix(message)
             y = channel_apply(transmit_matrix(code, codeword, j), cfg, rng, p.q).received
-            best = decode_subspace_min(bases, mats, y, p.q)
+            best = decode_subspace_min(cands, p.n, cols, y, p.q)
             floor = p.s - gfq_rank(y, p.q)
             try:
                 got = solve_download(local_gen, p.n, cols, y, p.q)

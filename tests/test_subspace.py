@@ -1,25 +1,27 @@
 """Subspace lifting: canonical bases, the metric, and block locality."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rankloc.codes import build_code
-from rankloc.gf import base_tables, gfq_rank
+from rankloc.gf import FieldSpec, _digit_rows, base_tables, gfq_rank
 from rankloc.rng import SplitMix64
 from rankloc.subspace import (
     LiftedCode,
     Subspace,
     lift,
-    lift_batch,
+    lift_codes,
     min_subspace_distance,
+    pack_rows,
     rcef,
     _lifted_distances,
     subspace_distance,
-    subspace_distance_batch,
     verify_subspace_locality,
 )
 
-from helpers import rand_matrix
+from helpers import lifted_subspace, rand_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def test_subspace_metric_axioms():
 
 
 def test_lift_shape_and_canonical(tiny_code):
-    mats = tiny_code.codeword_matrices()
+    mats = tiny_code.field.matrix_batch(tiny_code.codeword_codes())
     sp = lift(mats[123])
     assert sp.ambient == 12 and sp.dim == 6
     assert (sp.basis[:6] == np.eye(6, dtype=np.uint8)).all()
@@ -110,15 +112,16 @@ def test_lift_shape_and_canonical(tiny_code):
 
 
 def test_lift_is_injective(tiny_code):
-    mats = tiny_code.codeword_matrices()
+    mats = tiny_code.field.matrix_batch(tiny_code.codeword_codes())
     seen = {lift(mats[i]).basis.tobytes() for i in range(mats.shape[0])}
     assert len(seen) == 4096
 
 
 def test_lift_doubles_rank_distance(tiny_code):
     # pairwise: the lifted distance is exactly twice the rank distance, and
-    # the batched scan over the same matched pairs agrees pair by pair
-    mats = tiny_code.codeword_matrices()
+    # the packed-code scan over the same matched pairs agrees pair by pair
+    codes = tiny_code.codeword_codes()
+    mats = tiny_code.field.matrix_batch(codes)
     t = base_tables(2)
     rng = SplitMix64(521)
     left, right, expected = [], [], []
@@ -131,27 +134,26 @@ def test_lift_doubles_rank_distance(tiny_code):
         left.append(i)
         right.append(j)
         expected.append(ds)
-    bases = LiftedCode(tiny_code).bases()
-    got = subspace_distance_batch(bases[left], bases[right], 2)
+    got = _lifted_distances(codes[left], codes[right], 6, range(6), 2, 6)
     assert got.tolist() == expected
-    with pytest.raises(ValueError, match="ambient"):
-        subspace_distance_batch(bases[:2], np.zeros((13, 1), np.uint8), 2)
 
 
 def test_lifted_code_enumeration(tiny_code):
+    # every codeword's packed lifted columns unpack to the basis of lift()
     lifted = LiftedCode(tiny_code)
     assert lifted.q == 2
     assert lifted.ambient == 12 and lifted.codeword_dim == 6
     assert lifted.codeword_count == 4096
-    bases = lifted.bases()
-    assert bases.shape == (4096, 12, 6)
-    mats = tiny_code.codeword_matrices()
-    assert (lift_batch(mats, 6, range(6)) == bases).all()
+    codes = tiny_code.codeword_codes()
+    packed = lift_codes(codes, 6, range(6), 2)
+    assert packed.shape == (4096, 6) and packed.dtype == np.uint64
+    bases = _digit_rows(packed, 2, 12)
+    mats = tiny_code.field.matrix_batch(codes)
     for i in range(0, 4096, 97):
         assert (bases[i] == lift(mats[i]).basis).all()
         assert (bases[i] == np.vstack([np.eye(6, dtype=np.uint8), mats[i]])).all()
-    subs = lifted.subspaces()
-    assert len({s.basis.tobytes() for s in subs}) == 4096
+    assert (pack_rows(bases.swapaxes(1, 2), 2) == packed).all()
+    assert len(np.unique(packed, axis=0)) == 4096
 
 
 def test_min_subspace_distance_tiny(tiny_code):
@@ -187,19 +189,40 @@ def test_lifted_distances_match_subspace_distance(q, example2_code):
     for cols in (range(n), code.rack_columns(2)):
         left, right = codes[:20, list(cols)], codes[20:, list(cols)]
         got = _lifted_distances(left, right, n, cols, q, f.m)
-        lifted = [lift_batch(f.matrix_batch(block), n, cols) for block in (left, right)]
         for t in range(20):
-            u, v = (Subspace.from_matrix(bases[t], q) for bases in lifted)
+            u, v = (lifted_subspace(f, block[t], n, cols) for block in (left, right))
             assert got[t] == subspace_distance(u, v)
         assert got[0] == 0
 
 
-def test_min_subspace_distance_degenerate(tiny_code):
-    from rankloc.subspace import _pairwise_min_distance
+def test_lifted_distances_fill_64_bits():
+    # q^(n+m) = 2^64: packed lifted columns use the top bit of uint64, so
+    # any signed intermediate would wrap.  The code builds (about a second,
+    # the irreducibility test), and both routes of the distance agree
+    spec = FieldSpec(4, 16, (2, 1, 0, 2, 0, 0, 0, 0, 3, 1, 3, 0, 1, 3, 3, 1, 1), 1)
+    code = build_code(4, 16, 16, 2, 1, 1, spec=spec)
+    f = code.field
+    report = verify_subspace_locality(LiftedCode(code), sample_pairs=50)
+    assert report.passed and not report.exact
+    rng = SplitMix64(4416)
+    msgs = np.array([[rng.randbelow(f.order) for _ in range(2)] for _ in range(40)])
+    codes = code.encode_batch(msgs)
+    left, right = codes[:20], codes[20:]
+    packed = lift_codes(left, 16, range(16), 4)
+    assert packed.max() >= 1 << 63
+    # digits packed back by ``pack_rows`` give the same top-bit codes
+    assert (pack_rows(_digit_rows(packed, 4, 32).swapaxes(1, 2), 4) == packed).all()
+    got = _lifted_distances(left, right, 16, range(16), 4, 16)
+    ranks = [gfq_rank(f.to_matrix(row), 4) for row in f.sub_vec(left, right)]
+    assert got.tolist() == [2 * r for r in ranks]
 
-    no_pairs = np.zeros((0, 6), np.int64)
+
+def test_min_subspace_distance_degenerate(tiny_code):
+    # a family of one codeword has no distance; no pairs give no distances
     with pytest.raises(ValueError, match="degenerate"):
-        _pairwise_min_distance(no_pairs, no_pairs, 6, range(6), 2, 6)
+        min_subspace_distance(LiftedCode(SimpleNamespace(codeword_count=1)))
+    no_pairs = np.zeros((0, 6), np.int64)
+    assert _lifted_distances(no_pairs, no_pairs, 6, range(6), 2, 6).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +246,10 @@ def test_locality_tiny_exact(tiny_code):
 def test_locality_projection_is_the_local_code(tiny_code):
     # block 1 projections of the full code coincide with the local code
     code = tiny_code
-    mats = code.codeword_matrices()
+    mats = code.field.matrix_batch(code.codeword_codes())
     cols = code.rack_columns(1)
     proj = {mats[i][:, cols.start : cols.stop].tobytes() for i in range(mats.shape[0])}
-    loc = code.local_code(1).codeword_matrices()
+    loc = code.field.matrix_batch(code.local_code(1).codeword_codes())
     locset = {loc[i].tobytes() for i in range(loc.shape[0])}
     assert proj == locset
     assert len(proj) == 64
