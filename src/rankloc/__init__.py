@@ -15,12 +15,12 @@ from .codes import (
     LocalRankCode,
     OracleBudgetError,
     build_code,
+    interpolate,
     min_rank_distance,
     rank_distance_bound,
     sampled_min_rank,
 )
 from .crisscross import (
-    AmbiguousErasureError,
     CorrectionReport,
     Cover,
     NearestCodeword,
@@ -30,9 +30,9 @@ from .crisscross import (
     decode_erasures_batch,
     decode_min_distance,
     locally_correctable,
-    min_cover_exhaustive,
 )
 from .gf import (
+    AmbiguousErasureError,
     Field,
     FieldSpec,
     FieldTower,
@@ -41,9 +41,10 @@ from .gf import (
     gfq_rank_batch,
     gfq_rank_codes,
     gfq_row_reduce,
+    gfq_solve,
     tower_build,
 )
-from .linpoly import LinearizedPoly, interpolate, root_space_dim
+from .linpoly import LinearizedPoly, root_space_dim
 from .netsim import (
     ChannelConfig,
     ChannelOutput,
@@ -57,7 +58,6 @@ from .netsim import (
 )
 from .rng import SplitMix64, mix64
 from .subspace import (
-    LiftedCode,
     LocalityReport,
     Subspace,
     lift,
@@ -82,7 +82,6 @@ __all__ = [
     "FieldSpec",
     "FieldTower",
     "GabidulinCode",
-    "LiftedCode",
     "LinearizedPoly",
     "LocalRankCode",
     "LocalityReport",
@@ -104,11 +103,11 @@ __all__ = [
     "gfq_rank_batch",
     "gfq_rank_codes",
     "gfq_row_reduce",
+    "gfq_solve",
     "interpolate",
     "lift",
     "local_candidates",
     "locally_correctable",
-    "min_cover_exhaustive",
     "min_rank_distance",
     "min_subspace_distance",
     "mix64",

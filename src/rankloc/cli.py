@@ -39,7 +39,7 @@ from .formats import (
     parse_received,
 )
 from .netsim import ChannelConfig, run_trials
-from .subspace import LiftedCode, lift, min_subspace_distance, verify_subspace_locality
+from .subspace import lift, min_subspace_distance, verify_subspace_locality
 
 
 def _read(path: str) -> str:
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
         except OracleBudgetError as exc:
             print(f"error: {exc}; use --mode sampled", file=sys.stderr)
             return 3
-        lifted_ds = min_subspace_distance(LiftedCode(code), args.budget)
+        lifted_ds = min_subspace_distance(code, args.budget)
         lifted_label = f"lifted d_S={lifted_ds}"
         d_label = f"d={d} " + ("(optimal)" if d == bound else f"(bound {bound})")
     else:
@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
     else:
         local_tag = "(sampled)"
     local_label = f"local d={local_d} {local_tag}"
-    report = verify_subspace_locality(LiftedCode(code), budget=args.budget, seed=args.seed)
+    report = verify_subspace_locality(code, budget=args.budget, seed=args.seed)
     for block in report.blocks:
         print(
             f"block_{block.block}: size_ok={block.size_ok} dim_ok={block.dim_ok}"

@@ -20,7 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import Field, FieldSpec, FieldTower, gfq_rank, gfq_rank_codes, tower_build
+from .gf import (
+    Field,
+    FieldTower,
+    gfq_parity_checks,
+    gfq_rank,
+    gfq_rank_codes,
+    gfq_solve,
+    tower_build,
+)
 from .linpoly import LinearizedPoly
 from .rng import SplitMix64
 
@@ -123,7 +131,6 @@ class _EvaluationCode:
         self._basis: np.ndarray | None = None
         self._tables: list[tuple[int, int, np.ndarray]] | None = None
         self._gen_gfq: np.ndarray | None = None
-        # transposed parity-check rows, cached by crisscross's decoder
         self._parity: np.ndarray | None = None
 
     @property
@@ -296,6 +303,13 @@ class _EvaluationCode:
             self._gen_gfq = digits.transpose(0, 2, 1).reshape(mk, self.n * f.m)
         return self._gen_gfq
 
+    def parity_checks(self) -> np.ndarray:
+        """H^T for ``generator_gfq``'s layout: flat @ H^T = 0 exactly when the
+        column-major flattened word is a codeword (cached)."""
+        if self._parity is None:
+            self._parity = gfq_parity_checks(self.generator_gfq(), self.field.q)
+        return self._parity
+
 
 class GabidulinCode(_EvaluationCode):
     """Evaluation code with exponents 0..k-1: maximum rank distance n-k+1."""
@@ -313,6 +327,39 @@ class GabidulinCode(_EvaluationCode):
 
     def __repr__(self) -> str:
         return f"GabidulinCode(n={self.n}, k={self.k}, q^m={self.field.order})"
+
+
+def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> LinearizedPoly:
+    """Unique linearized polynomial of q-degree < len(points) through the data.
+
+    The points must be linearly independent over GF(q).  The coefficients
+    are then the message of the Gabidulin code of dimension len(points) on
+    them whose codeword is ``values``: one ``gfq_solve`` against its GF(q)
+    generator, with identity columns appended so that the solve returns the
+    message's coordinates.
+
+    Raises:
+        ValueError: if the system is singular ("Moore matrix singular"),
+            which for admissible inputs means dependent points.
+    """
+    pts = list(points)
+    vals = list(values)
+    if len(pts) != len(vals):
+        raise ValueError("points and values differ in length")
+    n = len(pts)
+    if n == 0:
+        return LinearizedPoly.zero(field)
+    # more points than m are dependent too
+    if gfq_rank(field.to_matrix(pts), field.q) < n:
+        raise ValueError("Moore matrix singular")
+    gen = GabidulinCode(field, pts, n).generator_gfq()
+    size, m = len(gen), field.m
+    known = np.arange(size)
+    flat = field.to_matrix(vals).flatten(order="F")
+    u = gfq_solve(
+        np.hstack([gen, np.eye(size, dtype=np.uint8)]), known, flat[None], size + known, field.q
+    )[0]
+    return LinearizedPoly(field, {i: field.from_digits(u[i * m : (i + 1) * m]) for i in range(n)})
 
 
 class LocalRankCode(_EvaluationCode):
@@ -418,7 +465,6 @@ def build_code(
     r: int,
     delta: int,
     *,
-    spec: FieldSpec | None = None,
     field: Field | None = None,
     g: int | None = None,
     basis_a: Sequence[int] | None = None,
@@ -426,13 +472,11 @@ def build_code(
 ) -> LocalRankCode:
     """Validate parameters, build the tower (defaults unless pinned), encode-ready.
 
-    ``field``, an already built field, stands in for ``spec`` (see
+    ``field`` defaults to the field of ``FieldSpec.default(q, m)`` (see
     ``tower_build``).
     """
     params = CodeParams(q, m, n, k, r, delta)
-    tower = tower_build(
-        q, m, n, params.s, spec=spec, field=field, g=g, basis_a=basis_a, basis_b=basis_b
-    )
+    tower = tower_build(q, m, n, params.s, field=field, g=g, basis_a=basis_a, basis_b=basis_b)
     return LocalRankCode(params, tower)
 
 

@@ -10,8 +10,9 @@ it, extracting a witness cover from the matching.
 Decoding is two staged, mirroring how racks actually repair: every rack
 whose restricted pattern is light enough is solved against its own local
 generator first, then whatever remains is solved against the full code's
-GF(q) generator.  Both stages are exact linear solves; the guarantee
-predicate is advisory, the solver's uniqueness check is authoritative.
+GF(q) generator.  Both stages are exact linear solves (``gf.gfq_solve``);
+the guarantee predicate is advisory, the solver's uniqueness check is
+authoritative.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ from .codes import (
     _EvaluationCode,
     rank_distance_bound,
 )
-from .gf import gfq_matmul, gfq_rank, gfq_rank_codes, gfq_row_reduce
-
-
-class AmbiguousErasureError(RuntimeError):
-    """Erased cells are not determined by the surviving ones."""
+# gfq_solve raises AmbiguousErasureError; callers of the decoders catch it by this module
+from .gf import AmbiguousErasureError, gfq_matmul, gfq_rank, gfq_rank_codes, gfq_solve
 
 
 @dataclass(frozen=True)
@@ -114,34 +112,6 @@ def crisscross_weight(pattern: np.ndarray) -> tuple[int, Cover]:
     cover = Cover(cover_rows, cover_cols)
     assert cover.size == size and cover.covers(mask)
     return size, cover
-
-
-def min_cover_exhaustive(pattern: np.ndarray) -> int:
-    """Smallest cover by brute enumeration of all row and column subsets.
-
-    Independent of the matching route; only sensible for small shapes.
-    """
-    mask = _as_mask(pattern)
-    m, n = mask.shape
-    if m > 12 or n > 12:
-        raise ValueError("exhaustive cover search limited to 12 x 12")
-    col_bits = [int("".join(str(b) for b in mask[:, j][::-1]), 2) for j in range(n)]
-    best = m + n
-    for rows in range(1 << m):
-        for cols in range(1 << n):
-            size = bin(rows).count("1") + bin(cols).count("1")
-            if size >= best:
-                continue
-            ok = True
-            for j in range(n):
-                if cols >> j & 1:
-                    continue
-                if col_bits[j] & ~rows:
-                    ok = False
-                    break
-            if ok:
-                best = size
-    return best
 
 
 def validate_patterns(
@@ -259,71 +229,14 @@ class ErasureDecodeResult:
         return self.matrices[0]
 
     def verdict_lines(self) -> list[str]:
+        """The stages that ran; ``INTACT`` when no cell was erased, so only
+        the parity check ran, and it passed."""
         out = []
         if self.local_racks:
             out.append("LOCAL j=" + ",".join(str(j) for j in self.local_racks))
-        if self.used_global or not self.local_racks:
+        if self.used_global:
             out.append("GLOBAL")
-        return out
-
-
-def _pattern_solve(gen: np.ndarray, known_idx: np.ndarray, q: int) -> tuple[int, np.ndarray]:
-    """(rank, E) from one reduction of [gen_K^T | I], pivots in the first dim columns.
-
-    The right block E satisfies E @ gen_K^T = [I; 0] (rank rows of I): rows
-    past the rank check that values on the known cells K come from a
-    codeword, and at full rank the first dim rows map them to the message.
-    """
-    dim = gen.shape[0]
-    aug = np.hstack([gen[:, known_idx].T, np.eye(len(known_idx), dtype=np.uint8)])
-    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
-    return len(pivots), reduced[:, dim:]
-
-
-def _solve_known(
-    gen: np.ndarray,
-    known_idx: np.ndarray,
-    known_vals: np.ndarray,
-    wanted_idx: np.ndarray,
-    q: int,
-) -> np.ndarray:
-    """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
-
-    The solve depends only on the pattern (``_pattern_solve``), so the whole
-    batch costs one product: vals @ [E[rank:]^T | E[:dim]^T @ gen[:, wanted]]
-    gives the consistency checks and the wanted cells side by side.
-
-    Raises ValueError for inconsistent data and AmbiguousErasureError when
-    the known cells do not pin the message down (equivalently, a nonzero
-    codeword vanishes on them).
-    """
-    dim = gen.shape[0]
-    rank, solve = _pattern_solve(gen, known_idx, q)
-    right = solve[rank:].T
-    checks = right.shape[1]
-    if rank == dim:
-        # pivot columns are exactly 0..dim-1, so u = vals @ E[:dim]^T
-        repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
-        right = np.hstack([right, repair])
-    out = gfq_matmul(known_vals, np.ascontiguousarray(right), q)
-    if out[:, :checks].any():
-        raise ValueError("not a codeword restriction")
-    if rank < dim:
-        raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    return out[:, checks:]
-
-
-def _parity_checks(code: LocalRankCode) -> np.ndarray:
-    """H^T with flat @ H^T = 0 exactly for column-major flattened codewords.
-
-    These are the consistency rows of ``_pattern_solve`` with every cell
-    known, cached on the code, so membership costs one product per batch.
-    """
-    if code._parity is None:
-        gen = code.generator_gfq()
-        rank, solve = _pattern_solve(gen, np.arange(gen.shape[1]), code.q)
-        code._parity = np.ascontiguousarray(solve[rank:].T)
-    return code._parity
+        return out or ["INTACT"]
 
 
 def decode_erasures_batch(
@@ -372,7 +285,7 @@ def decode_erasures_batch(
         known_local = np.nonzero(~rack_mask)[0]
         wanted_local = np.nonzero(rack_mask)[0]
         vals = flat[:, rack_idx[known_local]]
-        rec = _solve_known(gen, known_local, vals, wanted_local, p.q)
+        rec = gfq_solve(gen, known_local, vals, wanted_local, p.q)
         flat[:, rack_idx[wanted_local]] = rec
         pending[rack_idx] = False
         local_racks.append(j)
@@ -384,9 +297,9 @@ def decode_erasures_batch(
         gen = code.generator_gfq()
         known = np.nonzero(~pending)[0]
         wanted = np.nonzero(pending)[0]
-        rec = _solve_known(gen, known, flat[:, known], wanted, p.q)
+        rec = gfq_solve(gen, known, flat[:, known], wanted, p.q)
         flat[:, wanted] = rec
-    elif gfq_matmul(flat, _parity_checks(code), p.q).any():
+    elif gfq_matmul(flat, code.parity_checks(), p.q).any():
         raise ValueError("decoded word is not a codeword")
     out = flat.reshape(received.shape[0], p.n, m).transpose(0, 2, 1)
     return ErasureDecodeResult(

@@ -688,6 +688,67 @@ def gfq_matmul(a: np.ndarray, b: np.ndarray, q: int = 2) -> np.ndarray:
     return np.asarray(_kernels.matmul(a, b, t.add, t.mul))
 
 
+class AmbiguousErasureError(RuntimeError):
+    """Erased cells are not determined by the surviving ones."""
+
+
+def _pattern_solve(gen: np.ndarray, known_idx: np.ndarray, q: int) -> tuple[int, np.ndarray]:
+    """(rank, E) from one reduction of [gen_K^T | I], pivots in the first dim columns.
+
+    The right block E satisfies E @ gen_K^T = [I; 0] (rank rows of I): rows
+    past the rank check that values on the known cells K come from a
+    codeword, and at full rank the first dim rows map them to the message.
+    """
+    dim = gen.shape[0]
+    aug = np.hstack([gen[:, known_idx].T, np.eye(len(known_idx), dtype=np.uint8)])
+    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
+    return len(pivots), reduced[:, dim:]
+
+
+def gfq_solve(
+    gen: np.ndarray,
+    known_idx: np.ndarray,
+    vals: np.ndarray,
+    wanted_idx: np.ndarray,
+    q: int,
+) -> np.ndarray:
+    """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
+
+    The solve depends only on the known cells (``_pattern_solve``), so the
+    whole batch costs one product: vals @ [E[rank:]^T | E[:dim]^T @ gen[:, wanted]]
+    gives the consistency checks and the wanted cells side by side.  A
+    system over GF(q^m) is solved here with each unknown expanded into its
+    m coordinates, as ``generator_gfq`` lays a code out.
+
+    Raises ValueError for inconsistent data and AmbiguousErasureError when
+    the known cells do not pin u down (equivalently, a nonzero codeword
+    vanishes on them), in that order.
+    """
+    dim = gen.shape[0]
+    rank, solve = _pattern_solve(gen, known_idx, q)
+    right = solve[rank:].T
+    checks = right.shape[1]
+    if rank == dim:
+        # pivot columns are exactly 0..dim-1, so u = vals @ E[:dim]^T
+        repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
+        right = np.hstack([right, repair])
+    out = gfq_matmul(vals, np.ascontiguousarray(right), q)
+    if out[:, :checks].any():
+        raise ValueError("not a codeword restriction")
+    if rank < dim:
+        raise AmbiguousErasureError("erasure pattern exceeds guarantee")
+    return out[:, checks:]
+
+
+def gfq_parity_checks(gen: np.ndarray, q: int) -> np.ndarray:
+    """H^T with x @ H^T = 0 exactly for x in the row space of ``gen``.
+
+    These are the consistency rows of ``gfq_solve`` with every cell known.
+    """
+    rank, solve = _pattern_solve(gen, np.arange(gen.shape[1]), q)
+    return np.ascontiguousarray(solve[rank:].T)
+
+
 # ---------------------------------------------------------------------------
 # Field towers
 
@@ -725,7 +786,6 @@ def tower_build(
     n: int,
     s: int,
     *,
-    spec: FieldSpec | None = None,
     field: Field | None = None,
     g: int | None = None,
     basis_a: Sequence[int] | None = None,
@@ -738,15 +798,12 @@ def tower_build(
     lying in GF(q^n), starting from w^0 = 1, whose powers pass the product
     rank-n check (gamma = 1 passes only when mu = 1).
     Explicit overrides are validated against the same invariants.  The
-    field is ``field`` when given (a caller that already built it), else
-    built from ``spec`` or the default spec; give one of the two at most.
+    field is ``field`` when given, else built from ``FieldSpec.default``.
     """
     if n % s != 0 or m % n != 0:
         raise ValueError("parameter divisibility violated")
     if field is None:
-        field = Field(spec if spec is not None else FieldSpec.default(q, m))
-    elif spec is not None:
-        raise ValueError("give spec or field, not both")
+        field = Field(FieldSpec.default(q, m))
     if field.q != q or field.m != m:
         raise ValueError("field spec does not match tower parameters")
     if field.omega is None:

@@ -93,53 +93,6 @@ class LinearizedPoly:
         return f"<{self.format()}>"
 
 
-def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> LinearizedPoly:
-    """Unique linearized polynomial of q-degree < len(points) through the data.
-
-    The points must be linearly independent over GF(q); the interpolation
-    matrix (point j raised to q^i) is then invertible.
-
-    Raises:
-        ValueError: if the system is singular ("Moore matrix singular"),
-            which for admissible inputs means dependent points.
-    """
-    pts = list(points)
-    vals = list(values)
-    if len(pts) != len(vals):
-        raise ValueError("points and values differ in length")
-    n = len(pts)
-    if n == 0:
-        return LinearizedPoly.zero(field)
-    f = field
-    # rows: equations L(p) = v; columns: unknown coefficients a_0..a_{n-1}
-    mat = [[0] * n for _ in range(n)]
-    for row, p in enumerate(pts):
-        acc = p
-        mat[row][0] = acc
-        for col in range(1, n):
-            acc = f.frobenius(acc, 1)
-            mat[row][col] = acc
-    rhs = list(vals)
-
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            raise ValueError("Moore matrix singular")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pinv = f.inv(mat[col][col])
-        for r in range(n):
-            if r != col and mat[r][col]:
-                fac = f.mul(mat[r][col], pinv)
-                for c in range(col, n):
-                    mat[r][c] = f.sub(mat[r][c], f.mul(fac, mat[col][c]))
-                rhs[r] = f.sub(rhs[r], f.mul(fac, rhs[col]))
-        mat[col] = [f.mul(pinv, v) for v in mat[col]]
-        rhs[col] = f.mul(pinv, rhs[col])
-    return LinearizedPoly(field, {i: rhs[i] for i in range(n)})
-
-
 def root_space_dim(poly: LinearizedPoly) -> int:
     """Dimension of the kernel of x -> L(x) as a GF(q)-linear map on GF(q^m).
 

@@ -27,8 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import DEFAULT_ORACLE_BUDGET, LocalRankCode, OracleBudgetError
-from .crisscross import AmbiguousErasureError, _solve_known
-from .gf import _digit_rows, base_tables, gfq_matmul, gfq_rank, gfq_rank_codes
+from .gf import (
+    AmbiguousErasureError,
+    _digit_rows,
+    base_tables,
+    gfq_matmul,
+    gfq_rank,
+    gfq_rank_codes,
+    gfq_solve,
+)
 from .rng import SplitMix64
 from .subspace import lift_codes, pack_rows
 
@@ -202,7 +209,7 @@ def solve_download(
     mixed = mixed.reshape(len(y), dim, m).transpose(1, 0, 2).reshape(dim, len(y) * m)
     known = np.arange(len(y) * m)
     try:
-        word = _solve_known(
+        word = gfq_solve(
             np.hstack([mixed, local_gen]), known, y[:, n:].reshape(1, -1),
             known.size + np.arange(width), q,
         )

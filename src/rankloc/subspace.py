@@ -121,29 +121,6 @@ def lift(mat: np.ndarray, q: int = 2) -> Subspace:
     return Subspace(q=q, basis=basis)
 
 
-@dataclass(frozen=True)
-class LiftedCode:
-    """Lifting of every codeword of a rank-metric evaluation code."""
-
-    source: _EvaluationCode
-
-    @property
-    def q(self) -> int:
-        return self.source.field.q
-
-    @property
-    def ambient(self) -> int:
-        return self.source.field.m + self.source.n
-
-    @property
-    def codeword_dim(self) -> int:
-        return self.source.n
-
-    @property
-    def codeword_count(self) -> int:
-        return self.source.codeword_count
-
-
 def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """``pairs`` index pairs i != j from range(count), drawing i then j each."""
     drawn = rng.randbelow_array(np.tile([count, count - 1], pairs)).astype(np.int64)
@@ -164,26 +141,25 @@ def _lifted_distances(
 
 
 def min_subspace_distance(
-    lifted: LiftedCode,
+    code: _EvaluationCode,
     budget: int = DEFAULT_ORACLE_BUDGET,
     cross_check_pairs: int = 64,
     seed: int = 0,
 ) -> int:
-    """Minimum subspace distance of a lifted code.
+    """Minimum subspace distance of the lifting of every codeword of ``code``.
 
-    Primary route: twice the source's minimum rank distance (linearity).
+    Primary route: twice the code's minimum rank distance (linearity).
     Cross-checks, never collapsed into the primary route: sampled pairs
     must satisfy the per-pair identity d_S = 2 d_R, and the pairwise
     distances from the all-zero codeword must reproduce the minimum.
     """
-    if lifted.codeword_count < 2:
+    if code.codeword_count < 2:
         raise ValueError("degenerate")
-    src = lifted.source
-    primary = 2 * min_rank_distance(src, budget)
+    primary = 2 * min_rank_distance(code, budget)
 
-    f = src.field
-    codes = src.codeword_codes(budget)
-    n = src.n
+    f = code.field
+    codes = code.codeword_codes(budget)
+    n = code.n
     i, j = _sample_pairs(SplitMix64(seed), len(codes), cross_check_pairs)
     ds = _lifted_distances(codes[i], codes[j], n, range(n), f.q, f.m)
     dr = gfq_rank_codes(f.sub_vec(codes[i], codes[j]), f.q, f.m)
@@ -246,13 +222,13 @@ class LocalityReport:
 
 
 def verify_subspace_locality(
-    lifted: LiftedCode,
+    code: LocalRankCode,
     budget: int = DEFAULT_ORACLE_BUDGET,
     max_pairs: int = 200_000,
     sample_pairs: int = 2000,
     seed: int = 0,
 ) -> LocalityReport:
-    """Check that lifting kept the source's locality, block by block.
+    """Check that lifting kept ``code``'s locality, block by block.
 
     For each column block of the source code the report verifies the
     block is no wider than r+delta-1 basis vectors and the projected
@@ -265,16 +241,15 @@ def verify_subspace_locality(
     from their message indices, and otherwise pairs among ``sample_pairs``
     random messages.  Only the compared words are encoded and lifted.
     """
-    src = lifted.source
-    if not isinstance(src, LocalRankCode):
+    if not isinstance(code, LocalRankCode):
         raise TypeError("locality verification needs a column-block local code")
-    p = src.params
+    p = code.params
     blocks = []
     for j in range(1, p.mu + 1):
-        cols = src.rack_columns(j)
+        cols = code.rack_columns(j)
         width = cols.stop - cols.start
         size_ok = width <= p.r + p.delta - 1
-        local = src.local_code(j)
+        local = code.local_code(j)
         count = local.codeword_count
         # the projection of a lifted basis onto the block is the block's
         # local codeword under distinct unit vectors of GF(q)^n, one per
@@ -291,7 +266,7 @@ def verify_subspace_locality(
                 pair_msgs = local.messages_at(i), local.messages_at(i2)
             else:
                 rng = SplitMix64(seed * 7919 + j)
-                drawn = rng.randbelow_array(np.full(sample_pairs * local.k, src.field.order))
+                drawn = rng.randbelow_array(np.full(sample_pairs * local.k, code.field.order))
                 pool = drawn.astype(np.int64).reshape(sample_pairs, local.k)
                 i, i2 = _sample_pairs(SplitMix64(seed + j), sample_pairs, sample_pairs)
                 pair_msgs = pool[i], pool[i2]

@@ -69,22 +69,24 @@ def naive_matmul(a, b, q):
 
 
 def cover_oracle(mask):
-    """Minimum crisscross cover by scanning every (rows, cols) subset pair."""
+    """Minimum crisscross cover by scanning every (rows, cols) subset pair.
+
+    Column j is held as a bitboard of its nonzero rows, so a pair covers
+    the mask when no column outside cols has a bit outside rows.
+    """
     mask = np.asarray(mask) != 0
     m, n = mask.shape
+    col_bits = [sum(1 << i for i in range(m) if mask[i, j]) for j in range(n)]
     best = m + n
     for rows in range(1 << m):
-        uncovered_rows = [i for i in range(m) if not rows >> i & 1]
         for cols in range(1 << n):
             size = bin(rows).count("1") + bin(cols).count("1")
             if size >= best:
                 continue
-            if all(
-                not mask[i][j]
-                for i in uncovered_rows
-                for j in range(n)
-                if not cols >> j & 1
-            ):
+            for j in range(n):
+                if not cols >> j & 1 and col_bits[j] & ~rows:
+                    break
+            else:
                 best = size
     return best
 
@@ -137,6 +139,13 @@ def rand_nonzero_message(rng: SplitMix64, field, k):
         msg = [rng.randbelow(field.order) for _ in range(k)]
         if any(msg):
             return msg
+
+
+def is_codeword(code, word):
+    """Membership by the generator's rank, not by the code's parity checks."""
+    gen = code.generator_gfq()
+    flat = np.asarray(word, dtype=np.uint8).flatten(order="F")
+    return gf.gfq_rank(np.vstack([gen, flat]), code.q) == gf.gfq_rank(gen, code.q)
 
 
 def subfield_elements(field, s):

@@ -14,6 +14,7 @@ from rankloc.codes import (
     CodeParams,
     LocalRankCode,
     build_code,
+    interpolate,
     min_rank_distance,
     rank_distance_bound,
     sampled_min_rank,
@@ -25,11 +26,9 @@ from rankloc.crisscross import (
     decode_min_distance,
 )
 from rankloc.gf import Field, FieldSpec, gfq_rank, gfq_rank_batch, tower_build
-from rankloc.linpoly import interpolate
 from rankloc.netsim import ChannelConfig, run_trials
 from rankloc.rng import SplitMix64
 from rankloc.subspace import (
-    LiftedCode,
     Subspace,
     min_subspace_distance,
     subspace_distance,
@@ -40,11 +39,10 @@ from helpers import all_4x4_cover_oracle, pattern_to_matrix, rand_matrix, subfie
 
 
 def build_reference_code() -> LocalRankCode:
-    spec = FieldSpec.default(2, 9)  # x^9 + x^4 + 1
-    f = Field(spec)
+    f = Field(FieldSpec.default(2, 9))  # x^9 + x^4 + 1
     tower = tower_build(
         2, 9, 9, 3,
-        spec=spec,
+        field=f,
         g=f.omega_pow(73),
         basis_a=[f.one, f.omega_pow(73), f.omega_pow(146)],
         basis_b=[f.one, f.omega_pow(309), f.omega_pow(107)],
@@ -206,13 +204,11 @@ def test_criterion_5_rank1_error_oracle():
 def test_criterion_6_lifted_distances_and_locality():
     start = time.perf_counter()
     code = build_code(2, 6, 6, 2, 1, 2)
-    lifted = LiftedCode(code)
-
-    d_s = min_subspace_distance(lifted, cross_check_pairs=10_000, seed=6)
+    d_s = min_subspace_distance(code, cross_check_pairs=10_000, seed=6)
     assert d_s == 8
     assert d_s == 2 * min_rank_distance(code)
 
-    report = verify_subspace_locality(lifted)
+    report = verify_subspace_locality(code)
     assert report.exact and report.passed
     assert report.subspace_delta == 4
     for block in report.blocks:

@@ -13,10 +13,10 @@ from rankloc.codes import (
     rank_distance_bound,
     sampled_min_rank,
 )
-from rankloc.gf import gfq_rank, gfq_rank_batch
+from rankloc.gf import base_tables, gfq_matmul, gfq_rank, gfq_rank_batch
 from rankloc.rng import SplitMix64
 
-from helpers import rand_nonzero_message
+from helpers import is_codeword, rand_nonzero_message
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +242,29 @@ def test_generator_gfq_rows_are_basis_codewords(example2_code, tiny_code):
                     msg[slot] = f.q**t
                     flat = f.to_matrix(code.encode(msg)).flatten(order="F")
                     assert np.array_equal(gen[slot * f.m + t], flat)
+
+
+@pytest.mark.parametrize("params", [None, (3, 4, 4, 2, 1, 2)], ids=["tiny", "q3"])
+def test_parity_checks_accept_exactly_the_codewords(params, tiny_code):
+    # every codeword has syndrome 0; every single-cell change of a sampled
+    # codeword has a nonzero syndrome, and the generator-rank oracle agrees
+    code = tiny_code if params is None else build_code(*params)
+    f = code.field
+    checks = code.parity_checks()
+    assert code.parity_checks() is checks
+    assert checks.shape == (f.m * code.n, f.m * (code.n - code.k))
+    words = f.matrix_batch(code.codeword_codes())
+    flat = words.transpose(0, 2, 1).reshape(len(words), -1)
+    assert not gfq_matmul(flat, checks, f.q).any()
+    plus_one = base_tables(f.q).add[1]
+    rng = np.random.default_rng(f.q)
+    for idx in rng.choice(len(words), size=6, replace=False):
+        assert is_codeword(code, words[idx])
+        for cell in range(flat.shape[1]):
+            changed = flat[idx].copy()
+            changed[cell] = plus_one[changed[cell]]
+            assert gfq_matmul(changed[None], checks, f.q).any()
+            assert not is_codeword(code, changed.reshape(code.n, f.m).T)
 
 
 def test_message_validation(example2_code):

@@ -7,20 +7,18 @@ from rankloc.codes import rank_distance_bound
 from rankloc.crisscross import (
     AmbiguousErasureError,
     Cover,
-    _solve_known,
     correctable,
     crisscross_weight,
     decode_erasures,
     decode_erasures_batch,
     decode_min_distance,
     locally_correctable,
-    min_cover_exhaustive,
     validate_patterns,
 )
-from rankloc.gf import base_tables, gfq_rank, gfq_row_reduce
+from rankloc.gf import base_tables, gfq_rank, gfq_row_reduce, gfq_solve
 from rankloc.rng import SplitMix64
 
-from helpers import cover_oracle, rand_matrix, rand_nonzero_message
+from helpers import cover_oracle, is_codeword, rand_matrix, rand_nonzero_message
 
 
 def fig_rows_pattern():
@@ -77,11 +75,12 @@ def test_weight_matches_subset_oracle():
 
 
 def test_weight_matches_bitboard_exhaustive():
+    # larger shapes (up to 6x6) against the same brute-force cover oracle
     rng = SplitMix64(409)
     for _ in range(400):
         pat = rand_matrix(rng, 2 + rng.randbelow(5), 2 + rng.randbelow(5), 2)
         w, cov = crisscross_weight(pat)
-        assert w == min_cover_exhaustive(pat)
+        assert w == cover_oracle(pat)
         assert cov.size == w and cov.covers(pat)
 
 
@@ -229,14 +228,7 @@ def test_decode_no_erasures_is_identity(tiny_code):
     res = decode_erasures(tiny_code, golden, np.zeros((6, 6), dtype=np.uint8))
     assert (res.matrix == golden).all()
     assert res.local_racks == () and not res.used_global
-    assert res.verdict_lines() == ["GLOBAL"]  # nothing solved locally
-
-
-def _is_codeword(code, word):
-    # membership by the generator's rank, not by the decoder's parity checks
-    gen = code.generator_gfq()
-    flat = np.asarray(word, dtype=np.uint8).flatten(order="F")
-    return gfq_rank(np.vstack([gen, flat]), code.q) == gfq_rank(gen.copy(), code.q)
+    assert res.verdict_lines() == ["INTACT"]  # no solve ran, only the parity check
 
 
 def test_decode_refuses_reference_non_codewords(example2_code):
@@ -282,7 +274,7 @@ def test_decode_never_returns_a_non_codeword(which, tiny_code, example2_code):
         except (ValueError, AmbiguousErasureError):
             refused += 1
             continue
-        assert _is_codeword(code, res.matrix) and not (res.matrix == sent).all()
+        assert is_codeword(code, res.matrix) and not (res.matrix == sent).all()
     assert refused > 0
 
 
@@ -418,7 +410,7 @@ def test_solve_known_matches_per_word_elimination(q):
         elif mode == 2:
             vals = gen_rng.integers(0, q, size=vals.shape, dtype=np.uint8)
         old = _solve_outcome(_solve_known_per_word, gen, known, vals, wanted, q)
-        new = _solve_outcome(_solve_known, gen, known, vals, wanted, q)
+        new = _solve_outcome(gfq_solve, gen, known, vals, wanted, q)
         assert new == old, (case, dim, known.tolist(), batch, mode)
         seen.add((batch, old if isinstance(old, str) else "solved"))
     # every batch size meets every outcome, except that no word of an
@@ -434,7 +426,7 @@ def test_solve_known_checks_consistency_before_ambiguity():
     gen = np.array([[1, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.uint8)
     known, wanted = np.array([0, 1]), np.array([2, 3])
     vals = np.array([[0, 0], [1, 0]], dtype=np.uint8)
-    for solve in (_solve_known_per_word, _solve_known):
+    for solve in (_solve_known_per_word, gfq_solve):
         with pytest.raises(ValueError, match="not a codeword restriction"):
             solve(gen, known, vals, wanted, 2)
         with pytest.raises(AmbiguousErasureError):

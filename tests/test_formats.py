@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rankloc import gf
-from rankloc.codes import build_code
 from rankloc.formats import (
     CodeSpec,
     FormatError,
@@ -111,8 +110,6 @@ def test_spec_build_makes_one_field(tmp_path, monkeypatch, example2_code, tiny_c
         assert code.tower.field is code.field
         assert code.eval_points == same.eval_points
         assert np.array_equal(code.generator_gfq(), same.generator_gfq())
-    with pytest.raises(ValueError, match="not both"):
-        build_code(2, 6, 6, 2, 1, 2, spec=tiny_code.field.spec, field=tiny_code.field)
 
 
 def test_load_and_atomic_write(tmp_path):

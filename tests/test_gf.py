@@ -531,7 +531,7 @@ def test_gfq_helpers_round_trip():
 
 
 def test_tower_default_construction(example2_field):
-    t = tower_build(2, 9, 9, 3, spec=example2_field.spec)
+    t = tower_build(2, 9, 9, 3, field=example2_field)
     f = t.field
     assert t.mu == 3
     assert f.element_order(t.g) == 2**3 - 1
@@ -591,26 +591,25 @@ def test_tower_product_rank_is_the_independence_check(example2_field):
 
 
 def test_tower_validation_errors(example2_field):
-    spec = example2_field.spec
-    with pytest.raises(ValueError, match="divisibility"):
-        tower_build(2, 9, 4, 2, spec=spec)
-    with pytest.raises(ValueError, match="wrong order"):
-        tower_build(2, 9, 9, 3, spec=spec, g=example2_field.omega)
     f = example2_field
+    with pytest.raises(ValueError, match="divisibility"):
+        tower_build(2, 9, 4, 2, field=f)
+    with pytest.raises(ValueError, match="wrong order"):
+        tower_build(2, 9, 9, 3, field=f, g=f.omega)
     with pytest.raises(ValueError, match="outside"):
-        tower_build(2, 9, 9, 3, spec=spec, basis_a=[1, f.omega, f.omega_pow(2)])
+        tower_build(2, 9, 9, 3, field=f, basis_a=[1, f.omega, f.omega_pow(2)])
     g = f.omega_pow(73)
     with pytest.raises(ValueError, match="independent"):
-        tower_build(2, 9, 9, 3, spec=spec, basis_a=[1, g, f.add(1, g)])
+        tower_build(2, 9, 9, 3, field=f, basis_a=[1, g, f.add(1, g)])
     with pytest.raises(ValueError, match="must have"):
-        tower_build(2, 9, 9, 3, spec=spec, basis_b=[1, g])
+        tower_build(2, 9, 9, 3, field=f, basis_b=[1, g])
     with pytest.raises(ValueError, match="independent"):
         # all products land inside GF(2^3): rank 3 < 9
-        tower_build(2, 9, 9, 3, spec=spec, basis_b=[1, g, f.add(1, g)])
+        tower_build(2, 9, 9, 3, field=f, basis_b=[1, g, f.add(1, g)])
     small = Field(FieldSpec.default(2, 6))
     with pytest.raises(ValueError, match="outside"):
         # omega generates GF(2^6)*, so it cannot sit inside GF(2^3)
-        tower_build(2, 6, 3, 3, spec=small.spec, basis_b=[small.omega])
+        tower_build(2, 6, 3, 3, field=small, basis_b=[small.omega])
 
 
 def test_factorization_cap():

@@ -2,8 +2,9 @@
 
 import pytest
 
+from rankloc.codes import interpolate
 from rankloc.gf import Field, FieldSpec, gfq_rank
-from rankloc.linpoly import LinearizedPoly, interpolate, root_space_dim
+from rankloc.linpoly import LinearizedPoly, root_space_dim
 from rankloc.rng import SplitMix64
 
 
@@ -70,12 +71,17 @@ def test_constructor_validation(example2_field):
     assert LinearizedPoly(f, {0: 1, 3: 0}).coeffs == {0: 1}
 
 
-def test_interpolate_round_trip(example2_field):
-    f = example2_field
+@pytest.mark.parametrize(
+    "q, m, max_pts, cases",
+    [(2, 9, 4, 1000), (3, 4, 4, 300), (2, 16, 6, 40)],
+    ids=["2^9", "3^4", "2^16"],
+)
+def test_interpolate_round_trip(q, m, max_pts, cases):
+    f = Field(FieldSpec.default(q, m))
     rng = SplitMix64(233)
     done = 0
-    while done < 1000:
-        n_pts = 1 + rng.randbelow(4)
+    while done < cases:
+        n_pts = 1 + rng.randbelow(max_pts)
         pts = [rng.randbelow(f.order) for _ in range(n_pts)]
         if gfq_rank(f.to_matrix(pts), f.q) != n_pts:
             continue
@@ -102,6 +108,9 @@ def test_interpolate_rejects_dependent_points(example2_field):
     a, b = f.omega, f.omega_pow(2)
     with pytest.raises(ValueError, match="Moore matrix singular"):
         interpolate(f, [a, b, f.add(a, b)], [1, 1, 1])
+    with pytest.raises(ValueError, match="Moore matrix singular"):
+        # more points than m are dependent
+        interpolate(f, [f.q**t for t in range(f.m)] + [f.omega], [1] * (f.m + 1))
     with pytest.raises(ValueError, match="differ in length"):
         interpolate(f, [a], [1, 2])
     assert interpolate(f, [], []) == LinearizedPoly.zero(f)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from rankloc.codes import build_code
-from rankloc.gf import FieldSpec, _digit_rows, base_tables, gfq_rank
+from rankloc.gf import Field, FieldSpec, _digit_rows, base_tables, gfq_rank
 from rankloc.rng import SplitMix64
 from rankloc.subspace import (
-    LiftedCode,
     Subspace,
     lift,
     lift_codes,
@@ -140,10 +139,6 @@ def test_lift_doubles_rank_distance(tiny_code):
 
 def test_lifted_code_enumeration(tiny_code):
     # every codeword's packed lifted columns unpack to the basis of lift()
-    lifted = LiftedCode(tiny_code)
-    assert lifted.q == 2
-    assert lifted.ambient == 12 and lifted.codeword_dim == 6
-    assert lifted.codeword_count == 4096
     codes = tiny_code.codeword_codes()
     packed = lift_codes(codes, 6, range(6), 2)
     assert packed.shape == (4096, 6) and packed.dtype == np.uint64
@@ -157,8 +152,7 @@ def test_lifted_code_enumeration(tiny_code):
 
 
 def test_min_subspace_distance_tiny(tiny_code):
-    lifted = LiftedCode(tiny_code)
-    assert min_subspace_distance(lifted) == 8  # == 2 * min rank distance 4
+    assert min_subspace_distance(tiny_code) == 8  # == 2 * min rank distance 4
 
 
 def test_min_subspace_distance_cross_check_fires(tiny_code, monkeypatch):
@@ -173,7 +167,7 @@ def test_min_subspace_distance_cross_check_fires(tiny_code, monkeypatch):
 
     monkeypatch.setattr(subspace, "gfq_rank_codes", off_by_one_on_differences)
     with pytest.raises(RuntimeError, match="distance cross-check failed"):
-        min_subspace_distance(LiftedCode(tiny_code))
+        min_subspace_distance(tiny_code)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -200,9 +194,9 @@ def test_lifted_distances_fill_64_bits():
     # any signed intermediate would wrap.  The code builds (about a second,
     # the irreducibility test), and both routes of the distance agree
     spec = FieldSpec(4, 16, (2, 1, 0, 2, 0, 0, 0, 0, 3, 1, 3, 0, 1, 3, 3, 1, 1), 1)
-    code = build_code(4, 16, 16, 2, 1, 1, spec=spec)
+    code = build_code(4, 16, 16, 2, 1, 1, field=Field(spec))
     f = code.field
-    report = verify_subspace_locality(LiftedCode(code), sample_pairs=50)
+    report = verify_subspace_locality(code, sample_pairs=50)
     assert report.passed and not report.exact
     rng = SplitMix64(4416)
     msgs = np.array([[rng.randbelow(f.order) for _ in range(2)] for _ in range(40)])
@@ -220,7 +214,7 @@ def test_lifted_distances_fill_64_bits():
 def test_min_subspace_distance_degenerate(tiny_code):
     # a family of one codeword has no distance; no pairs give no distances
     with pytest.raises(ValueError, match="degenerate"):
-        min_subspace_distance(LiftedCode(SimpleNamespace(codeword_count=1)))
+        min_subspace_distance(SimpleNamespace(codeword_count=1))
     no_pairs = np.zeros((0, 6), np.int64)
     assert _lifted_distances(no_pairs, no_pairs, 6, range(6), 2, 6).shape == (0,)
 
@@ -230,7 +224,7 @@ def test_min_subspace_distance_degenerate(tiny_code):
 
 
 def test_locality_tiny_exact(tiny_code):
-    report = verify_subspace_locality(LiftedCode(tiny_code))
+    report = verify_subspace_locality(tiny_code)
     assert report.r == 1 and report.delta == 2
     assert report.subspace_delta == 4
     assert report.passed and report.exact
@@ -258,7 +252,7 @@ def test_locality_projection_is_the_local_code(tiny_code):
 def test_locality_sampled_mode(example2_code):
     # the 2^36-codeword instance only admits the sampled check
     report = verify_subspace_locality(
-        LiftedCode(example2_code), max_pairs=50_000, sample_pairs=300, seed=3
+        example2_code, max_pairs=50_000, sample_pairs=300, seed=3
     )
     assert report.r == 2 and report.subspace_delta == 4
     assert report.passed and not report.exact
@@ -275,17 +269,16 @@ def test_locality_sampled_distances_pinned(example2_code):
     # among them, which drawing the pair indices first must reproduce;
     # with budget=1000 the local codes are over budget and the pairs come
     # from random messages instead
-    lifted = LiftedCode(example2_code)
-    within = verify_subspace_locality(lifted, sample_pairs=20, seed=5)
+    within = verify_subspace_locality(example2_code, sample_pairs=20, seed=5)
     assert [b.projected_distance for b in within.blocks] == [6, 6, 6]
-    over = verify_subspace_locality(lifted, budget=1000, sample_pairs=50, seed=2)
+    over = verify_subspace_locality(example2_code, budget=1000, sample_pairs=50, seed=2)
     assert [b.projected_distance for b in over.blocks] == [4, 4, 6]
     assert not within.exact and not over.exact
 
 
 def test_locality_rejects_plain_codes(tiny_code):
     with pytest.raises(TypeError):
-        verify_subspace_locality(LiftedCode(tiny_code.local_code(1)))
+        verify_subspace_locality(tiny_code.local_code(1))
 
 
 def test_projection_membership_sampled(example2_code):
