@@ -7,10 +7,16 @@ serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
 batch of matrices, GF(2) included.  GF(2) takes bit-level shortcuts
 elsewhere: ``rank_words`` ranks vectors packed as integer words by a
-leading-bit elimination, ``matmul`` multiplies operands packed into uint64
-words along the inner dimension (Albrecht, Bard and Hart, ACM TOMS 2010),
-and row reduction clears a column by XORing the pivot row into the others.
-No path uses floating point or BLAS: every product is exact.
+leading-bit elimination, and row reduction clears a column by XORing the
+pivot row into the others.  A GF(2) ``matmul`` takes one of two paths,
+chosen by the left operand's row count: up to 256 rows (one table's
+entries) both operands are packed into uint64 words along the inner
+dimension and each output bit is a popcount parity; above that the
+Method of Four Russians (Albrecht, Bard and Hart, ACM TOMS 2010) builds
+one 256-entry XOR table per 8 rows of the right operand and reads the
+left operand a byte at a time, so a batch of thousands of words pays for
+the tables once.  No path uses floating point or BLAS: every product is
+exact.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+# entries of one Four-Russians table (8 rows of the right operand); a GF(2)
+# product whose left operand has more rows than this reads tables
+_TABLE_ENTRIES = 256
 
 
 def _reduce(mat, sub, mul, inv, n_pivot_cols):
@@ -95,6 +104,29 @@ def _pack_words(bits):
     return packed.view("<u8")
 
 
+def _matmul_tables(a, b):
+    # the Method of Four Russians: b's rows packed along the output columns,
+    # one 256-entry XOR table per 8 rows of b (entry e = XOR of the rows
+    # whose bits are set in e), and a read 8 bits at a time, so each output
+    # row costs one gathered word row per chunk of 8 inner positions
+    rows, inner = a.shape
+    cols = b.shape[1]
+    chunks, words = -(-inner // 8), max(1, -(-cols // 64))
+    b_rows = np.zeros((chunks * 8, words), dtype="<u8")
+    b_rows[:inner] = _pack_words(b)
+    b_rows = b_rows.reshape(chunks, 8, words)
+    tables = np.zeros((chunks, _TABLE_ENTRIES, words), dtype="<u8")
+    for i in range(8):
+        # doubling: entries [2^i, 2^(i+1)) are entries [0, 2^i) plus row i
+        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ b_rows[:, i, None, :]
+    # chunk-major bytes, so each gather reads one contiguous index row
+    a_bytes = np.ascontiguousarray(np.packbits(a, axis=1, bitorder="little").T)
+    acc = np.zeros((rows, words), dtype="<u8")
+    for c in range(chunks):
+        acc ^= tables[c].take(a_bytes[c], axis=0)
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=cols, bitorder="little")
+
+
 def rank_batch(mats, sub, mul, inv):
     # one elimination driven across the whole batch: per-column pivot
     # search, swap, normalize and clear-below as fancy-indexed table
@@ -136,6 +168,8 @@ def matmul(a, b, add, mul):
     if inner != inner2:
         raise ValueError("shape mismatch")
     if len(add) == 2:
+        if rows > _TABLE_ENTRIES:
+            return _matmul_tables(a, b)
         # both operands packed along the inner dimension: output bit (i, j)
         # is the parity of a_i & b_j, XORed up one word at a time so the
         # transient stays one rows x cols array of words

@@ -24,7 +24,6 @@ from .gf import (
     Field,
     FieldTower,
     gfq_parity_checks,
-    gfq_rank,
     gfq_rank_codes,
     gfq_solve,
     tower_build,
@@ -121,7 +120,7 @@ class _EvaluationCode:
         self.exponents = tuple(exponents)
         if len(set(self.exponents)) != len(self.exponents):
             raise ValueError("duplicate exponents")
-        if gfq_rank(field.to_matrix(self.eval_points), field.q) != len(self.eval_points):
+        if field.span_rank(self.eval_points) != len(self.eval_points):
             raise ValueError("evaluation points dependent")
         # gen[j][t] = point_t ^ (q ^ exponent_j)
         self._gen = [
@@ -350,7 +349,7 @@ def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> L
     if n == 0:
         return LinearizedPoly.zero(field)
     # more points than m are dependent too
-    if gfq_rank(field.to_matrix(pts), field.q) < n:
+    if field.span_rank(pts) < n:
         raise ValueError("Moore matrix singular")
     gen = GabidulinCode(field, pts, n).generator_gfq()
     size, m = len(gen), field.m

@@ -96,11 +96,21 @@ def _digit_rows(codes: np.ndarray, q: int, count: int) -> np.ndarray:
     """(..., n) base-q codes -> (..., count, n) uint8 digits, least first.
 
     Row i of the new axis holds digit i of every code, so an (n,) vector of
-    element codes becomes its m x n coordinate matrix.
+    element codes becomes its m x n coordinate matrix.  Over GF(2) the
+    digits are the bits of the codes, read off a little-endian byte view.
     """
     rest = np.asarray(codes)
     if rest.dtype.kind != "u":
         rest = rest.astype(np.int64, copy=False)
+    if q == 2:
+        # the narrowest little-endian word holding the low count bits
+        # (count <= 16 for every GF(2^m) field); one flat unpack, then bit
+        # t of each code moves to row t
+        size = next(b for b in (1, 2, 4, 8) if 8 * b >= count)
+        words = np.ascontiguousarray(rest, dtype=f"<u{size}")
+        bits = np.unpackbits(words.reshape(-1).view(np.uint8), bitorder="little")
+        bits = bits.reshape(words.shape + (8 * size,))[..., :count]
+        return np.ascontiguousarray(bits.swapaxes(-1, -2))
     out = np.empty(rest.shape[:-1] + (count, rest.shape[-1]), dtype=np.uint8)
     # one divmod by the scalar q per digit: faster than dividing by a
     # broadcast row of powers of q, and no power can wrap int64
@@ -592,14 +602,22 @@ class Field:
 
     # -- matrix form ---------------------------------------------------------
 
-    def to_matrix(self, elements: Sequence[int]) -> np.ndarray:
-        """Stack coordinate vectors as columns: an m x n array over GF(q)."""
+    def _element_codes(self, elements: Sequence[int]) -> np.ndarray:
         vals = np.asarray(list(elements), dtype=np.int64)
         if vals.ndim != 1:
             raise ValueError("expected a flat sequence of elements")
         if vals.size and (vals.min() < 0 or vals.max() >= self.order):
             raise ValueError("element out of range")
-        return _digit_rows(vals, self.q, self.m)
+        return vals
+
+    def to_matrix(self, elements: Sequence[int]) -> np.ndarray:
+        """Stack coordinate vectors as columns: an m x n array over GF(q)."""
+        return _digit_rows(self._element_codes(elements), self.q, self.m)
+
+    def span_rank(self, elements: Sequence[int]) -> int:
+        """Dimension over GF(q) of the span of the elements: the rank of
+        ``to_matrix(elements)``, computed on the element codes."""
+        return int(gfq_rank_codes(self._element_codes(elements)[None], self.q, self.m)[0])
 
     def from_matrix(self, mat: np.ndarray) -> list[int]:
         mat = np.asarray(mat)
@@ -824,12 +842,11 @@ def tower_build(
     for a in basis_a:
         if field.frobenius(a, s) != a:
             raise ValueError("basis_a element outside GF(q^s)")
-    if gfq_rank(field.to_matrix(basis_a), q) != s:
+    if field.span_rank(basis_a) != s:
         raise ValueError("basis not independent")
 
     def product_rank(bb: Sequence[int]) -> int:
-        pts = [field.mul(a, b) for b in bb for a in basis_a]
-        return gfq_rank(field.to_matrix(pts), q)
+        return field.span_rank([field.mul(a, b) for b in bb for a in basis_a])
 
     if basis_b is None:
         # gamma must lie in GF(q^n): its exponent is a multiple of step.

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .gf import Field, gfq_rank
+from .gf import Field
 
 
 class LinearizedPoly:
@@ -105,6 +103,4 @@ def root_space_dim(poly: LinearizedPoly) -> int:
     if not poly:
         raise ValueError("root space is everything")
     f = poly.field
-    cols = [poly(f.q**t) for t in range(f.m)]
-    mat = f.to_matrix(cols)
-    return f.m - gfq_rank(np.asarray(mat), f.q)
+    return f.m - f.span_rank([poly(f.q**t) for t in range(f.m)])

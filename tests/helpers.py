@@ -54,6 +54,18 @@ def naive_rank(mat, q):
     return rank
 
 
+def digit_rows_oracle(codes, q, count):
+    """(..., n) base-q codes -> (..., count, n) uint8 digits by one divmod
+    per digit, the expansion ``gf._digit_rows`` replaced over GF(2)."""
+    rest = np.asarray(codes)
+    if rest.dtype.kind != "u":
+        rest = rest.astype(np.int64)
+    out = np.empty(rest.shape[:-1] + (count, rest.shape[-1]), dtype=np.uint8)
+    for i in range(count):
+        rest, out[..., i, :] = np.divmod(rest, q)
+    return out
+
+
 def naive_matmul(a, b, q):
     """Schoolbook GF(q) matrix product, q any prime power."""
     f = _scalar_field(q)

@@ -302,6 +302,29 @@ def test_decode_refuses_a_corrupted_cell(ws, capsys):
     assert not (ws / "back.txt").exists()
 
 
+def test_decode_refuses_a_flip_in_a_rack_left_with_r_columns(ws, capsys):
+    # rack 3 loses column 6 and keeps r = 2 columns, so its local solve
+    # has no check rows and repairs column 6 from the flipped cell (4, 7)
+    # without complaint; the final parity check refuses the word: exit 2
+    encode_reference(ws, capsys)
+    rows = ["......?.."] * 9
+    rows[4] = "......?E."
+    (ws / "err.pat").write_text("\n".join(rows) + "\n")
+    (ws / "err.val").write_text("1\n")
+    code, _, _ = run(capsys, "inject", "--spec", ws / "ref.spec", "--codeword", ws / "cw.txt",
+                     "--pattern", ws / "err.pat", "--errors", ws / "err.val",
+                     "--out", ws / "recv.txt")
+    assert code == 0
+    code, out, err = run(
+        capsys, "decode", "--spec", ws / "ref.spec", "--received", ws / "recv.txt",
+        "--out", ws / "back.txt",
+    )
+    assert code == 2
+    assert out == "FAIL\n"
+    assert "decoded word is not a codeword" in err
+    assert not (ws / "back.txt").exists()
+
+
 def test_verify_tiny_exact(ws, capsys):
     code, out, _ = run(capsys, "verify", "--spec", ws / "tiny.spec")
     assert code == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankloc import _kernels
 from rankloc.codes import rank_distance_bound
 from rankloc.crisscross import (
     AmbiguousErasureError,
@@ -250,6 +251,51 @@ def test_decode_refuses_reference_non_codewords(example2_code):
         with pytest.raises(ValueError, match="decoded word is not a codeword"):
             decode_erasures_batch(code, np.stack([golden, received]), mask)
         assert (decode_erasures(code, golden, mask).matrix == golden).all()
+
+
+@pytest.mark.parametrize("which", ["tiny", "reference"])
+def test_flip_in_rack_with_r_survivors_is_caught_by_parity_check(
+    which, tiny_code, example2_code, monkeypatch
+):
+    # a rack that keeps exactly r columns has no check rows in its local
+    # solve: a flipped surviving cell there is repaired wrongly without
+    # complaint, and only the final parity check can refuse the word
+    code = tiny_code if which == "tiny" else example2_code
+    p = code.params
+    tabled = []
+    table_path = _kernels._matmul_tables
+
+    def spy(a, b):
+        tabled.append(a.shape)
+        return table_path(a, b)
+
+    monkeypatch.setattr(_kernels, "_matmul_tables", spy)
+    gen_rng = np.random.default_rng(p.n)
+    msgs = gen_rng.integers(0, code.field.order, size=(2048, p.k))
+    words = code.field.matrix_batch(code.encode_batch(msgs))
+    for j in range(1, p.mu + 1):
+        cols = list(code.rack_columns(j))
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        mask[:, cols[: p.s - p.r]] = 1  # delta - 1 columns lost, r left
+        row, col = (j * 5) % p.m, cols[-1]
+        received = words.copy()
+        received[7, row, col] = (received[7, row, col] + 1) % p.q
+        # the local solve alone: full rank, no consistency rows, wrong cells
+        rack_mask = mask[:, cols].flatten(order="F").astype(bool)
+        known, wanted = np.nonzero(~rack_mask)[0], np.nonzero(rack_mask)[0]
+        flat = received[7][:, cols].flatten(order="F")
+        gen = code.local_code(j).generator_gfq()
+        assert len(known) == gen.shape[0] == p.r * p.m
+        repaired = gfq_solve(gen, known, flat[None, known], wanted, p.q)[0]
+        assert (repaired != words[7][:, cols].flatten(order="F")[wanted]).any()
+        with pytest.raises(ValueError, match="decoded word is not a codeword"):
+            decode_erasures(code, received[7], mask)
+        # in a 2048-word rebuild the parity product reads Four-Russians tables
+        with pytest.raises(ValueError, match="decoded word is not a codeword"):
+            decode_erasures_batch(code, np.where(mask, 0, received), mask)
+        assert tabled[-1] == (2048, p.n * p.m)
+        res = decode_erasures_batch(code, np.where(mask, 0, words), mask)
+        assert (res.matrices == words).all() and res.local_racks == (j,)
 
 
 @pytest.mark.parametrize("which", ["tiny", "reference"])

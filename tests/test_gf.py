@@ -20,7 +20,7 @@ from rankloc.gf import (
 )
 from rankloc.rng import SplitMix64
 
-from helpers import naive_rank, subfield_elements
+from helpers import digit_rows_oracle, naive_rank, subfield_elements
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +368,47 @@ def test_matrix_batch_matches_scalar(example2_field):
     assert batch.shape == (40, f.m, 5)
     for b in range(40):
         assert np.array_equal(batch[b], f.to_matrix(codes[b]))
+
+
+@pytest.mark.parametrize("m", [1, 6, 8, 9, 16, 32])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint32])
+def test_gf2_digit_rows_match_divmod_oracle(m, dtype):
+    # GF(2) digits are read as bits off a byte view; the divmod loop is the
+    # oracle, for codes narrower and wider than the word they come in
+    # (uint16 codes with m = 32 have zero high digits), strided slices and
+    # empty shapes included
+    gen = np.random.default_rng(m * 7 + np.dtype(dtype).itemsize)
+    top = min(1 << m, int(np.iinfo(dtype).max) + 1)
+    full = gen.integers(0, top, size=(6, 22), dtype=np.int64).astype(dtype)
+    full[0, :3] = top - 1  # every bit a word of this width can hold
+    cases = [full[0], full, full[:0], full[:, :0], full[::2, 1::3], full[1, ::-2], full.T]
+    fld = Field(FieldSpec.default(2, m)) if m <= 16 else None
+    for codes in cases:
+        want = digit_rows_oracle(codes, 2, m)
+        for got in [gf._digit_rows(codes, 2, m)] + ([fld.matrix_batch(codes)] if fld else []):
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            assert got.shape == codes.shape[:-1] + (m, codes.shape[-1])
+            assert np.array_equal(got, want)
+        if fld and codes.ndim == 1:
+            assert np.array_equal(fld.to_matrix(codes.tolist()), want)
+
+
+def test_span_rank_matches_matrix_rank():
+    # the independence checks rank element codes; the table rank of the
+    # coordinate matrix is the oracle, for q = 2 (word kernel) and q = 3
+    for q, m in ((2, 9), (3, 4)):
+        f = Field(FieldSpec.default(q, m))
+        gen = np.random.default_rng(q)
+        for size in range(m + 3):
+            for _ in range(20):
+                pts = gen.integers(0, f.order, size=size).tolist()
+                if size > 1 and gen.random() < 0.3:
+                    pts[-1] = f.add(pts[0], pts[1])  # force a dependency
+                assert f.span_rank(pts) == gfq_rank(f.to_matrix(pts), q)
+        with pytest.raises(ValueError, match="element out of range"):
+            f.span_rank([f.order])
+        with pytest.raises(ValueError, match="expected a flat sequence of elements"):
+            f.span_rank([[1, 2]])
 
 
 def test_vectorized_ops_match_scalar(example2_field):

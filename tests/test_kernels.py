@@ -51,16 +51,34 @@ def test_matmul_prime_modular_oracle():
 
 
 @pytest.mark.parametrize("inner", [0, 1, 63, 64, 65, 128, 129])
-def test_packed_gf2_matmul_matches_schoolbook(inner):
-    # GF(2) products run on words packed along the inner dimension; the
-    # word boundaries at 64 and 128 are where a packing slip would show
+def test_packed_gf2_matmul_matches_schoolbook(inner, monkeypatch):
+    # GF(2) products run on words packed along the inner dimension up to
+    # 256 rows and on Four-Russians tables above; the word boundaries at 64
+    # and 128 (inner for the packed path, cols for the tables' output
+    # words) and the chunk boundaries at multiples of 8 are where a
+    # packing slip would show
+    tabled = []
+    table_path = _kernels._matmul_tables
+
+    def spy(a, b):
+        tabled.append(a.shape[0])
+        return table_path(a, b)
+
+    monkeypatch.setattr(_kernels, "_matmul_tables", spy)
     gen = np.random.default_rng(inner)
-    for rows, cols in [(5, 7), (1, 1), (0, 4), (4, 0), (0, 0)]:
+    shapes = [(5, 7), (1, 1), (0, 4), (4, 0), (0, 0)]
+    shapes += [(rows, cols) for rows in (256, 257, 2048) for cols in (0, 1, 63, 64, 65, 129)]
+    for rows, cols in shapes:
         a = gen.integers(0, 2, size=(rows, inner), dtype=np.uint8)
         b = gen.integers(0, 2, size=(inner, cols), dtype=np.uint8)
         got = gfq_matmul(a, b, 2)
         assert got.dtype == np.uint8 and got.shape == (rows, cols)
-        assert (got == naive_matmul(a, b, 2)).all()
+        if rows * cols <= 64:
+            assert (got == naive_matmul(a, b, 2)).all()
+        # exact integer schoolbook product, reduced mod 2
+        assert (got == a.astype(np.int64) @ b.astype(np.int64) % 2).all()
+    # only the products with more rows than one table's 256 entries read tables
+    assert tabled == [257] * 6 + [2048] * 6
 
 
 @pytest.mark.parametrize("rows, cols", [(6, 6), (9, 14), (14, 9), (20, 40), (0, 5), (5, 0)])
