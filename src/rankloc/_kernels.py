@@ -7,16 +7,13 @@ serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
 batch of matrices, GF(2) included.  GF(2) takes bit-level shortcuts
 elsewhere: ``rank_words`` ranks vectors packed as integer words by a
-leading-bit elimination, and row reduction clears a column by XORing the
-pivot row into the others.  A GF(2) ``matmul`` takes one of two paths,
-chosen by the left operand's row count: up to 256 rows (one table's
-entries) both operands are packed into uint64 words along the inner
-dimension and each output bit is a popcount parity; above that the
-Method of Four Russians (Albrecht, Bard and Hart, ACM TOMS 2010) builds
-one 256-entry XOR table per 8 rows of the right operand and reads the
-left operand a byte at a time, so a batch of thousands of words pays for
-the tables once.  No path uses floating point or BLAS: every product is
-exact.
+leading-bit elimination, row reduction clears a column by XORing the
+pivot row into the others, and a GF(2) ``matmul`` packs both operands
+into uint64 words along the inner dimension, each output bit a popcount
+parity.  A linear map on a batch of more words than one table has entries
+runs as a table gather on their element codes instead
+(``codes._linear_tables``).
+No path uses floating point or BLAS: every product is exact.
 """
 
 from __future__ import annotations
@@ -24,9 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
-# entries of one Four-Russians table (8 rows of the right operand); a GF(2)
-# product whose left operand has more rows than this reads tables
-_TABLE_ENTRIES = 256
 
 
 def _reduce(mat, sub, mul, inv, n_pivot_cols):
@@ -42,15 +36,19 @@ def _reduce(mat, sub, mul, inv, n_pivot_cols):
         piv = r + below[0]
         if piv != r:
             work[[r, piv]] = work[[piv, r]]
-        p = work[r, col]
-        if p != 1:
-            work[r] = mul[inv[p], work[r]]
-        nz = work[:, col].nonzero()[0]
-        nz = nz[nz != r]
-        if nz.size:
-            if binary:
-                work[nz] ^= work[r]
-            else:
+        if binary:
+            # row r into every other row holding the column: one masked XOR
+            # over the whole matrix costs less than gathering those rows
+            hits = work[:, col].copy()
+            hits[r] = 0
+            work ^= hits[:, None] & work[r]
+        else:
+            p = work[r, col]
+            if p != 1:
+                work[r] = mul[inv[p], work[r]]
+            nz = work[:, col].nonzero()[0]
+            nz = nz[nz != r]
+            if nz.size:
                 work[nz] = sub[work[nz], mul[work[nz, col][:, None], work[r][None, :]]]
         pivots.append(col)
         r += 1
@@ -100,31 +98,11 @@ def _pack_words(bits):
     # word t = column 64 t + i
     *lead, w = bits.shape
     packed = np.zeros((*lead, max(1, -(-w // 64)) * 8), dtype=np.uint8)
+    # packbits reads a strided view, such as a transposed operand, several
+    # times slower than a contiguous copy of it
+    bits = np.ascontiguousarray(bits)
     packed[..., : -(-w // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return packed.view("<u8")
-
-
-def _matmul_tables(a, b):
-    # the Method of Four Russians: b's rows packed along the output columns,
-    # one 256-entry XOR table per 8 rows of b (entry e = XOR of the rows
-    # whose bits are set in e), and a read 8 bits at a time, so each output
-    # row costs one gathered word row per chunk of 8 inner positions
-    rows, inner = a.shape
-    cols = b.shape[1]
-    chunks, words = -(-inner // 8), max(1, -(-cols // 64))
-    b_rows = np.zeros((chunks * 8, words), dtype="<u8")
-    b_rows[:inner] = _pack_words(b)
-    b_rows = b_rows.reshape(chunks, 8, words)
-    tables = np.zeros((chunks, _TABLE_ENTRIES, words), dtype="<u8")
-    for i in range(8):
-        # doubling: entries [2^i, 2^(i+1)) are entries [0, 2^i) plus row i
-        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ b_rows[:, i, None, :]
-    # chunk-major bytes, so each gather reads one contiguous index row
-    a_bytes = np.ascontiguousarray(np.packbits(a, axis=1, bitorder="little").T)
-    acc = np.zeros((rows, words), dtype="<u8")
-    for c in range(chunks):
-        acc ^= tables[c].take(a_bytes[c], axis=0)
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=cols, bitorder="little")
 
 
 def rank_batch(mats, sub, mul, inv):
@@ -168,8 +146,6 @@ def matmul(a, b, add, mul):
     if inner != inner2:
         raise ValueError("shape mismatch")
     if len(add) == 2:
-        if rows > _TABLE_ENTRIES:
-            return _matmul_tables(a, b)
         # both operands packed along the inner dimension: output bit (i, j)
         # is the parity of a_i & b_j, XORed up one word at a time so the
         # transient stays one rows x cols array of words

@@ -15,6 +15,8 @@ whole rack, which is the locality property everything else exploits.
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,8 +34,8 @@ from .linpoly import LinearizedPoly
 from .rng import SplitMix64
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
-# most rows of one encode table: a message slot over a larger field is
-# split into chunks of its digits (the Method of Four Russians)
+# most rows of one ``_linear_tables`` table: a symbol over a larger field
+# is split into chunks of its digits (the Method of Four Russians)
 _SLOT_TABLE_ROWS = 1 << 12
 
 
@@ -89,8 +91,9 @@ class CodeParams:
         return j * self.r + i
 
 
-def _digit_chunks(q: int, m: int) -> list[tuple[int, int]]:
-    """(first digit, digit count) of each chunk an encode table covers.
+@functools.lru_cache(maxsize=None)
+def _digit_chunks(q: int, m: int) -> tuple[tuple[int, int], ...]:
+    """(first digit, digit count) of each chunk a ``_linear_tables`` table covers.
 
     One chunk when q^m rows fit ``_SLOT_TABLE_ROWS``; otherwise the fewest
     chunks that fit, their digit counts as even as possible.
@@ -99,7 +102,62 @@ def _digit_chunks(q: int, m: int) -> list[tuple[int, int]]:
     while q ** (fits + 1) <= _SLOT_TABLE_ROWS:
         fits += 1
     width = -(-m // -(-m // fits))
-    return [(first, min(width, m - first)) for first in range(0, m, width)]
+    return tuple((first, min(width, m - first)) for first in range(0, m, width))
+
+
+def _linear_tables(field: Field, images: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """Four-Russians tables of S GF(q)-linear maps from GF(q^m) to element codes.
+
+    ``images`` is (S, m, C): map j takes x^i to the C element codes
+    ``images[j, i]``.  Returns (first digit, digit count, tables) per
+    chunk of ``_digit_chunks``, with ``tables[j, v]`` the image under map
+    j of the element holding v in digits ``first ..`` and zero elsewhere.
+    Adding digit i's value a adds ``a * images[j, i]``, so row
+    a * q^(i - first) + v is that multiple plus row v; over GF(2) this
+    doubles the table.  Codes are stored in the narrowest unsigned type
+    that holds them, which makes the gathers of ``_gather_sum`` cheaper.
+    """
+    q, m = field.q, field.m
+    multiples = [None, images] + [field.scale_vec(a, images) for a in range(2, q)]
+    word = np.min_scalar_type(field.order - 1)
+    out = []
+    for first, count in _digit_chunks(q, m):
+        tables = np.zeros((len(images), q**count, images.shape[-1]), dtype=word)
+        for i in range(first, first + count):
+            size = q ** (i - first)
+            for a in range(1, q):
+                image = multiples[a][:, i, None]
+                tables[:, a * size : (a + 1) * size] = field.add_vec(tables[:, :size], image)
+        out.append((first, count, tables))
+    return out
+
+
+def _gather_sum(
+    field: Field, chunk_tables: list[tuple[int, int, np.ndarray]], symbols: np.ndarray
+) -> np.ndarray:
+    """(B, S) element codes through ``_linear_tables``' S maps, summed: (B, C).
+
+    One gather per map and digit chunk, the chunk's digits of column j
+    indexing map j's table; no field multiply runs.  The codes keep the
+    tables' unsigned type.
+    """
+    q, m = field.q, field.m
+    out = None
+    for first, count, tables in chunk_tables:
+        for j, table in enumerate(tables):
+            idx = symbols[:, j]
+            if first:
+                idx = idx // q**first
+            if first + count < m:
+                idx = idx % q**count
+            rows = np.take(table, idx, axis=0)
+            if out is None:
+                out = rows
+            elif q == 2:
+                out ^= rows
+            else:
+                out = field.add_vec(out, rows)
+    return out
 
 
 def rank_distance_bound(n: int, k: int, r: int, delta: int) -> int:
@@ -192,30 +250,14 @@ class _EvaluationCode:
         return self._basis
 
     def _slot_tables(self) -> list[tuple[int, int, np.ndarray]]:
-        """(first digit, digit count, tables) per digit chunk of a symbol (cached).
+        """``_linear_tables`` of the message slots (cached).
 
         ``tables[j, v]`` is the codeword of the message whose slot j holds
-        v in digits ``first ..`` and zero elsewhere.  Adding digit i's value
-        a adds ``a * _basis_images()[j, i]``, so row a * q^(i - first) + v is
-        that multiple plus row v; over GF(2) this doubles the table.  Codes
-        are stored in the narrowest unsigned type that holds them, which
-        makes the gathers of ``encode_batch`` cheaper.
+        v in digits ``first ..`` and zero elsewhere: slot j maps x^i to
+        ``_basis_images()[j, i]``.
         """
         if self._tables is None:
-            f = self.field
-            q, m = f.q, f.m
-            basis = self._basis_images()
-            multiples = [None, basis] + [f.scale_vec(a, basis) for a in range(2, q)]
-            word = np.min_scalar_type(f.order - 1)
-            self._tables = []
-            for first, count in _digit_chunks(q, m):
-                tables = np.zeros((self.k, q**count, self.n), dtype=word)
-                for i in range(first, first + count):
-                    size = q ** (i - first)
-                    for a in range(1, q):
-                        image = multiples[a][:, i, None]
-                        tables[:, a * size : (a + 1) * size] = f.add_vec(tables[:, :size], image)
-                self._tables.append((first, count, tables))
+            self._tables = _linear_tables(self.field, self._basis_images())
         return self._tables
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
@@ -234,22 +276,7 @@ class _EvaluationCode:
             raise ValueError("message has wrong length")
         if messages.size and (messages.min() < 0 or messages.max() >= f.order):
             raise ValueError("message symbol out of range")
-        out = None
-        for first, count, tables in self._slot_tables():
-            for j, table in enumerate(tables):
-                idx = messages[:, j]
-                if first:
-                    idx = idx // f.q**first
-                if first + count < f.m:
-                    idx = idx % f.q**count
-                rows = np.take(table, idx, axis=0)
-                if out is None:
-                    out = rows
-                elif f.q == 2:
-                    out ^= rows
-                else:
-                    out = f.add_vec(out, rows)
-        return out.astype(np.int64, copy=False)
+        return _gather_sum(f, self._slot_tables(), messages).astype(np.int64, copy=False)
 
     def messages_at(self, idx: np.ndarray) -> np.ndarray:
         """The messages at positions ``idx`` of ``message_codes()``.
@@ -377,6 +404,8 @@ class LocalRankCode(_EvaluationCode):
         ]
         self._init_eval(f, tower.product_points(), exps)
         self._local_codes: dict[int, GabidulinCode] = {}
+        # crisscross erasure plans by mask bytes, least recently used first
+        self._erasure_plans: OrderedDict[bytes, object] = OrderedDict()
 
     @property
     def q(self) -> int:

@@ -10,8 +10,14 @@ it, extracting a witness cover from the matching.
 Decoding is two staged, mirroring how racks actually repair: every rack
 whose restricted pattern is light enough is solved against its own local
 generator first, then whatever remains is solved against the full code's
-GF(q) generator.  Both stages are exact linear solves (``gf.gfq_solve``);
-the guarantee predicate is advisory, the solver's uniqueness check is
+GF(q) generator.  Both stages are exact linear solves
+(``gf._pattern_solve``) that depend on the erasure pattern alone, so they
+run once per pattern: composed, they are one GF(q)-linear map from the
+surviving digits to the stages' checks and the decoded word, cached on
+the code per mask.  A batch of words goes through that map as element
+codes, by a table gather per surviving column (the Method of Four
+Russians, as ``encode_batch`` runs) or, for a few words, one product.
+The guarantee predicate is advisory, the solver's uniqueness check is
 authoritative.
 """
 
@@ -24,11 +30,23 @@ import numpy as np
 from .codes import (
     DEFAULT_ORACLE_BUDGET,
     LocalRankCode,
+    _digit_chunks,
     _EvaluationCode,
+    _gather_sum,
+    _linear_tables,
     rank_distance_bound,
 )
-# gfq_solve raises AmbiguousErasureError; callers of the decoders catch it by this module
-from .gf import AmbiguousErasureError, gfq_matmul, gfq_rank, gfq_rank_codes, gfq_solve
+# callers of the decoders catch AmbiguousErasureError by this module
+from .gf import (
+    AmbiguousErasureError,
+    _digit_rows,
+    _pattern_solve,
+    _row_codes,
+    base_tables,
+    gfq_matmul,
+    gfq_rank,
+    gfq_rank_codes,
+)
 
 
 @dataclass(frozen=True)
@@ -213,7 +231,15 @@ def correctable(
 
 
 # ---------------------------------------------------------------------------
-# Erasure decoding (exact linear solves)
+# Erasure decoding (one linear map per pattern)
+
+# plans one code keeps, the least recently used dropped first: a budget of
+# 1 MiB at 3.5 KiB a reference-code plan (2.3 KiB of images, the rest its
+# key and objects, measured with tracemalloc)
+_PLAN_CACHE_SIZE = 292
+
+_RESTRICTION = "not a codeword restriction"
+_NOT_CODEWORD = "decoded word is not a codeword"
 
 
 @dataclass
@@ -239,6 +265,175 @@ class ErasureDecodeResult:
         return out or ["INTACT"]
 
 
+@dataclass(frozen=True)
+class _ErasurePlan:
+    """One erasure pattern's decode as a GF(q)-linear map on element codes.
+
+    ``images[c, t]`` holds the element codes that digit t of column c
+    adds to a word's [stage checks | n output codes]; erased digits map
+    to zero.  ``checks`` gives each stage's check codes as (start, stop),
+    the refusal when any of them is nonzero, and whether the stage's
+    solve was ambiguous, in the order the stages ran.  Check digits are
+    packed m to a code, so a code is zero exactly when its checks are.
+    """
+
+    images: np.ndarray  # (n, m, C), the narrowest unsigned type
+    columns: np.ndarray  # columns with a surviving digit
+    checks: tuple[tuple[int, int, str, bool], ...]
+    local_racks: tuple[int, ...]
+    used_global: bool
+
+
+def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
+    """Run the staged decode once on the pattern, on maps instead of words.
+
+    A word's digits are laid out column-major, as ``generator_gfq`` lays a
+    codeword out, and each map below has one row per surviving digit.
+    Stage one solves each rack whose restricted weight is below delta
+    against the rack's own generator; a rack's surviving digits are a run
+    of rows.  Stage two solves what remains against the full generator,
+    composed with the local fills.  When no global solve ran, the parity
+    checks, composed the same way, close the plan; a global solve checks
+    every known cell and fills the rest from one message, so its words
+    are codewords already.  An ambiguous solve ends the plan.
+    """
+    p = code.params
+    q, m, s, size = p.q, p.m, p.s, p.n * p.m
+    erased = mask.flatten(order="F").astype(bool)
+    known = np.nonzero(~erased)[0]
+    # rows[i]: surviving digits before digit i, so rack j's rows run from
+    # rows[start] to rows[stop]
+    rows = np.concatenate([[0], np.cumsum(~erased)])
+    # the output word's digits as a map of the surviving digits
+    word = np.zeros((len(known), size), dtype=np.uint8)
+    word[np.arange(len(known)), known] = 1
+    pending = erased.copy()
+    blocks: list[np.ndarray] = []
+    checks: list[tuple[int, int, str, bool]] = []
+
+    def stage(check: np.ndarray, refusal: str, ambiguous: bool) -> None:
+        codes = -(-check.shape[1] // m)
+        block = np.zeros((len(known), codes * m), dtype=np.uint8)
+        block[:, : check.shape[1]] = check
+        start = checks[-1][1] if checks else 0
+        blocks.append(block)
+        checks.append((start, start + codes, refusal, ambiguous))
+
+    def compose(have: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the word at the digits ``have`` (every surviving one among them)
+        # times x: surviving digits pass x's rows through in row order,
+        # filled ones multiply their maps by the rest of x
+        kept = ~erased[have]
+        out = x[kept]
+        if not kept.all():
+            filled = np.ascontiguousarray(word[:, have[~kept]])
+            out = base_tables(q).add[out, gfq_matmul(filled, np.ascontiguousarray(x[~kept]), q)]
+        return out
+
+    # a rack pattern inside fewer lines than delta is light enough without
+    # the matching
+    racks = mask.reshape(m, p.mu, s)
+    lines = np.minimum(racks.any(axis=0).sum(axis=1), racks.any(axis=2).sum(axis=0))
+    local_racks = []
+    for j in np.nonzero(lines)[0].tolist():
+        if lines[j] > p.delta - 1 and crisscross_weight(racks[:, j])[0] > p.delta - 1:
+            continue
+        start, stop = j * s * m, (j + 1) * s * m
+        lost = erased[start:stop]
+        gen = code.local_code(j + 1).generator_gfq()
+        dim = gen.shape[0]
+        rank, solve = _pattern_solve(gen, np.nonzero(~lost)[0], q)
+        own = slice(rows[start], rows[stop])
+        check = np.zeros((len(known), len(solve) - rank), dtype=np.uint8)
+        check[own] = solve[rank:].T
+        stage(check, _RESTRICTION, rank < dim)
+        if rank < dim:
+            break
+        wanted = np.nonzero(lost)[0]
+        word[own, start + wanted] = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted], q)
+        pending[start:stop] = False
+        local_racks.append(j + 1)
+    else:  # no local solve was ambiguous
+        if pending.any():
+            gen = code.generator_gfq()
+            dim = gen.shape[0]
+            have, wanted = np.nonzero(~pending)[0], np.nonzero(pending)[0]
+            rank, solve = _pattern_solve(gen, have, q)
+            right = solve[rank:].T
+            if rank == dim:
+                repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted], q)
+                right = np.hstack([right, repair])
+            composed = compose(have, right)
+            stage(composed[:, : len(solve) - rank], _RESTRICTION, rank < dim)
+            if rank == dim:
+                word[:, wanted] = composed[:, len(solve) - rank :]
+        else:
+            stage(compose(np.arange(size), code.parity_checks()), _NOT_CODEWORD, False)
+
+    digits = np.hstack(blocks + [word])
+    width = digits.shape[1] // m
+    images = np.zeros((size, width), dtype=np.min_scalar_type(code.field.order - 1))
+    images[known] = _row_codes(digits.reshape(-1, m).T, q).reshape(len(known), width)
+    return _ErasurePlan(
+        images=images.reshape(p.n, m, width),
+        columns=np.nonzero(~mask.all(axis=0))[0],
+        checks=tuple(checks),
+        local_racks=tuple(local_racks),
+        used_global=bool(pending.any()),
+    )
+
+
+def _plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
+    """The code's plan for an erasure mask, from its LRU cache keyed by
+    the mask's bytes.  The cache keeps ``_PLAN_CACHE_SIZE`` = 292 plans,
+    about 1 MiB for the reference code; a plan holds its images as codes,
+    never the tables a batch builds from them."""
+    plans = code._erasure_plans
+    key = mask.tobytes()
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _build_plan(code, mask)
+        if len(plans) > _PLAN_CACHE_SIZE:
+            plans.popitem(last=False)
+    else:
+        plans.move_to_end(key)
+    return plan
+
+
+def _decode_codes(
+    code: LocalRankCode, codes: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, _ErasurePlan]:
+    """Apply the mask's plan to (B, n) element codes: (B, n) decoded codes.
+
+    A batch with more words than one table has entries gathers from
+    ``_linear_tables`` of the images, one surviving column at a time, as
+    ``encode_batch`` does; a smaller one multiplies its digits by the
+    images.  Each stage's checks are then read in stage order, so a batch
+    gets the refusal the staged solves would raise.
+    """
+    f = code.field
+    q, m = f.q, f.m
+    plan = _plan(code, mask)
+    n, _, width = plan.images.shape
+    if len(codes) > q ** _digit_chunks(q, m)[0][1] and plan.columns.size:
+        tables = _linear_tables(f, plan.images[plan.columns])
+        out = _gather_sum(f, tables, codes[:, plan.columns])
+    else:
+        # transposed, so both operands pack along contiguous rows: digit t
+        # of output code c is row c * m + t, and the input digits are
+        # column-major, as the images are laid out
+        maps = _digit_rows(plan.images.reshape(n * m, width).T, q, m).reshape(width * m, n * m)
+        digits = _digit_rows(codes, q, m).swapaxes(1, 2).reshape(len(codes), n * m)
+        out = gfq_matmul(maps, digits.T, q).reshape(width, m, len(codes))
+        out = _row_codes(out, q).T
+    for start, stop, refusal, ambiguous in plan.checks:
+        if out[:, start:stop].any():
+            raise ValueError(refusal)
+        if ambiguous:
+            raise AmbiguousErasureError("erasure pattern exceeds guarantee")
+    return out[:, width - n :], plan
+
+
 def decode_erasures_batch(
     code: LocalRankCode, received: np.ndarray, erasures: np.ndarray
 ) -> ErasureDecodeResult:
@@ -246,66 +441,32 @@ def decode_erasures_batch(
 
     Stage one solves each rack whose restricted erasure weight is below
     delta against the rack's own generator; stage two solves the residual
-    against the full generator.  Values at erased positions in the input
-    are ignored.  Every returned word is a codeword: when no global solve
-    ran, the words are checked against the code's parity checks, and a
-    batch holding any non-codeword, such as a word with a corrupted
-    surviving cell, raises ValueError instead.
+    against the full generator.  Both run once per pattern, as one linear
+    map (``_build_plan``), which the batch then goes through as element
+    codes.  Values at erased positions in the input are ignored.  Every
+    returned word is a codeword: when no global solve ran, the words are
+    checked against the code's parity checks, and a batch holding any
+    non-codeword, such as a word with a corrupted surviving cell, raises
+    ValueError instead.
     """
     p = code.params
+    f = code.field
     mask = _as_mask(erasures)
     if mask.shape != (p.m, p.n):
         raise ValueError("pattern shape mismatch")
-    received = np.asarray(received, dtype=np.uint8)
+    received = np.asarray(received)
     if received.ndim == 2:
         received = received[None]
     if received.shape[1:] != (p.m, p.n):
         raise ValueError("received shape mismatch")
-    if received.size and received.max() >= p.q:
+    # checked before any cast, which would wrap v + 256 to v
+    if received.size and (received.min() < 0 or received.max() >= p.q):
         raise ValueError("received entries out of range")
-
-    m = p.m
-    # column-major flattening keeps each rack's cells contiguous
-    flat = received.transpose(0, 2, 1).reshape(received.shape[0], p.n * m).copy()
-    mask_flat = mask.flatten(order="F").astype(bool)
-    flat[:, mask_flat] = 0
-    pending = mask_flat.copy()
-
-    local_racks = []
-    for j in range(1, p.mu + 1):
-        cols = code.rack_columns(j)
-        rack_idx = np.arange(cols.start * m, cols.stop * m)
-        rack_mask = mask_flat[rack_idx]
-        if not rack_mask.any():
-            continue
-        weight, _ = crisscross_weight(mask[:, list(cols)])
-        if weight > p.delta - 1:
-            continue
-        gen = code.local_code(j).generator_gfq()
-        known_local = np.nonzero(~rack_mask)[0]
-        wanted_local = np.nonzero(rack_mask)[0]
-        vals = flat[:, rack_idx[known_local]]
-        rec = gfq_solve(gen, known_local, vals, wanted_local, p.q)
-        flat[:, rack_idx[wanted_local]] = rec
-        pending[rack_idx] = False
-        local_racks.append(j)
-
-    used_global = bool(pending.any())
-    if used_global:
-        # a global solve checks every known cell for consistency and fills
-        # the rest from the one message, so its words are codewords already
-        gen = code.generator_gfq()
-        known = np.nonzero(~pending)[0]
-        wanted = np.nonzero(pending)[0]
-        rec = gfq_solve(gen, known, flat[:, known], wanted, p.q)
-        flat[:, wanted] = rec
-    elif gfq_matmul(flat, code.parity_checks(), p.q).any():
-        raise ValueError("decoded word is not a codeword")
-    out = flat.reshape(received.shape[0], p.n, m).transpose(0, 2, 1)
+    codes, plan = _decode_codes(code, f.codes_batch(received), mask)
     return ErasureDecodeResult(
-        matrices=np.ascontiguousarray(out),
-        local_racks=tuple(local_racks),
-        used_global=used_global,
+        matrices=f.matrix_batch(codes),
+        local_racks=plan.local_racks,
+        used_global=plan.used_global,
     )
 
 

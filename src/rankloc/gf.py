@@ -119,6 +119,16 @@ def _digit_rows(codes: np.ndarray, q: int, count: int) -> np.ndarray:
     return out
 
 
+def _row_codes(digits: np.ndarray, q: int) -> np.ndarray:
+    """(..., count, n) uint8 digits in [0, q) -> (..., n) base-q codes, the
+    inverse of ``_digit_rows``, in the narrowest unsigned type that holds
+    them: one product with the powers of q, no partial sum past the code.
+    """
+    count = digits.shape[-2]
+    word = np.min_scalar_type(q**count - 1)
+    return (q ** np.arange(count)).astype(word) @ digits
+
+
 def parse_uint(text: str) -> int:
     """A decimal integer of ASCII digits only, surrounding whitespace stripped.
 
@@ -633,6 +643,14 @@ class Field:
     def matrix_batch(self, codes: np.ndarray) -> np.ndarray:
         """Unpack a (B, n) array of element codes into (B, m, n) digit arrays."""
         return _digit_rows(codes, self.q, self.m)
+
+    def codes_batch(self, mats: np.ndarray) -> np.ndarray:
+        """Pack a (B, m, n) array of digit arrays, entries in [0, q), into
+        (B, n) element codes: the inverse of ``matrix_batch``."""
+        mats = np.asarray(mats, dtype=np.uint8)
+        if mats.ndim != 3 or mats.shape[1] != self.m:
+            raise ValueError("expected a (batch, m, n) array")
+        return _row_codes(mats, self.q)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's optimized paths: rank and
 matrix products by schoolbook scalar field arithmetic, covers by brute
-subset enumeration, and linearized-polynomial evaluation by direct
-powering, so tests compare two genuinely different computations.
+subset enumeration, linearized-polynomial evaluation by direct powering,
+and erasure decoding by one solve per stage on every word, so tests
+compare two genuinely different computations.
 """
 
 import functools
@@ -11,6 +12,7 @@ import functools
 import numpy as np
 
 from rankloc import gf
+from rankloc.crisscross import ErasureDecodeResult, crisscross_weight
 from rankloc.gf import Field, FieldSpec
 from rankloc.rng import SplitMix64
 from rankloc.subspace import Subspace
@@ -175,3 +177,50 @@ def lifted_subspace(field, codes, n, cols):
     basis[list(cols), range(len(cols))] = 1
     basis[n:] = mat
     return Subspace.from_matrix(basis, field.q)
+
+
+def staged_decode_oracle(code, received, erasures):
+    """Erasure decoding stage by stage on the words themselves.
+
+    Each rack whose restricted crisscross weight is below delta is solved
+    against its local generator (``gfq_solve``), then whatever is still
+    erased against the full generator; when no global solve ran, the
+    parity product checks the words.  Raises what the decoder raises, in
+    the same order; returns an ``ErasureDecodeResult``.
+    """
+    p = code.params
+    m = p.m
+    mask = (np.asarray(erasures) != 0).astype(np.uint8)
+    received = np.asarray(received, dtype=np.uint8)
+    if received.ndim == 2:
+        received = received[None]
+    # column-major flattening keeps each rack's cells contiguous
+    flat = received.transpose(0, 2, 1).reshape(received.shape[0], p.n * m).copy()
+    mask_flat = mask.flatten(order="F").astype(bool)
+    flat[:, mask_flat] = 0
+    pending = mask_flat.copy()
+    local_racks = []
+    for j in range(1, p.mu + 1):
+        cols = code.rack_columns(j)
+        rack_idx = np.arange(cols.start * m, cols.stop * m)
+        rack_mask = mask_flat[rack_idx]
+        if not rack_mask.any() or crisscross_weight(mask[:, list(cols)])[0] > p.delta - 1:
+            continue
+        gen = code.local_code(j).generator_gfq()
+        known, wanted = np.nonzero(~rack_mask)[0], np.nonzero(rack_mask)[0]
+        vals = flat[:, rack_idx[known]]
+        flat[:, rack_idx[wanted]] = gf.gfq_solve(gen, known, vals, wanted, p.q)
+        pending[rack_idx] = False
+        local_racks.append(j)
+    used_global = bool(pending.any())
+    if used_global:
+        known, wanted = np.nonzero(~pending)[0], np.nonzero(pending)[0]
+        flat[:, wanted] = gf.gfq_solve(code.generator_gfq(), known, flat[:, known], wanted, p.q)
+    elif gf.gfq_matmul(flat, code.parity_checks(), p.q).any():
+        raise ValueError("decoded word is not a codeword")
+    out = flat.reshape(received.shape[0], p.n, m).transpose(0, 2, 1)
+    return ErasureDecodeResult(
+        matrices=np.ascontiguousarray(out),
+        local_racks=tuple(local_racks),
+        used_global=used_global,
+    )

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rankloc import _kernels
-from rankloc.codes import rank_distance_bound
+from rankloc.codes import _digit_chunks, build_code, rank_distance_bound
 from rankloc.crisscross import (
+    _PLAN_CACHE_SIZE,
     AmbiguousErasureError,
     Cover,
     correctable,
@@ -19,7 +20,13 @@ from rankloc.crisscross import (
 from rankloc.gf import base_tables, gfq_rank, gfq_row_reduce, gfq_solve
 from rankloc.rng import SplitMix64
 
-from helpers import cover_oracle, is_codeword, rand_matrix, rand_nonzero_message
+from helpers import (
+    cover_oracle,
+    is_codeword,
+    rand_matrix,
+    rand_nonzero_message,
+    staged_decode_oracle,
+)
 
 
 def fig_rows_pattern():
@@ -255,21 +262,13 @@ def test_decode_refuses_reference_non_codewords(example2_code):
 
 @pytest.mark.parametrize("which", ["tiny", "reference"])
 def test_flip_in_rack_with_r_survivors_is_caught_by_parity_check(
-    which, tiny_code, example2_code, monkeypatch
+    which, tiny_code, example2_code
 ):
     # a rack that keeps exactly r columns has no check rows in its local
     # solve: a flipped surviving cell there is repaired wrongly without
     # complaint, and only the final parity check can refuse the word
     code = tiny_code if which == "tiny" else example2_code
     p = code.params
-    tabled = []
-    table_path = _kernels._matmul_tables
-
-    def spy(a, b):
-        tabled.append(a.shape)
-        return table_path(a, b)
-
-    monkeypatch.setattr(_kernels, "_matmul_tables", spy)
     gen_rng = np.random.default_rng(p.n)
     msgs = gen_rng.integers(0, code.field.order, size=(2048, p.k))
     words = code.field.matrix_batch(code.encode_batch(msgs))
@@ -290,10 +289,9 @@ def test_flip_in_rack_with_r_survivors_is_caught_by_parity_check(
         assert (repaired != words[7][:, cols].flatten(order="F")[wanted]).any()
         with pytest.raises(ValueError, match="decoded word is not a codeword"):
             decode_erasures(code, received[7], mask)
-        # in a 2048-word rebuild the parity product reads Four-Russians tables
+        # a 2048-word rebuild, which gathers its checks from tables, refuses too
         with pytest.raises(ValueError, match="decoded word is not a codeword"):
             decode_erasures_batch(code, np.where(mask, 0, received), mask)
-        assert tabled[-1] == (2048, p.n * p.m)
         res = decode_erasures_batch(code, np.where(mask, 0, words), mask)
         assert (res.matrices == words).all() and res.local_racks == (j,)
 
@@ -390,6 +388,180 @@ def test_decode_certified_pattern_with_undercounted_residual(tiny_code):
     assert sub.reshape(sub.shape[0], -1).any(axis=1).all()  # none vanish outside
     batch = decode_erasures_batch(code, np.where(corner, 0, mats).astype(np.uint8), corner)
     assert (batch.matrices == mats).all()
+
+
+# ---------------------------------------------------------------------------
+# erasure plans against the staged oracle
+
+
+def _oracle_masks(code, gen):
+    """(class, mask) pairs: local, global, mixed, beyond d - 1, partly
+    erased columns, intact and a dense random mask, drawn from ``gen``.
+    Each piece lies on one row or one column, so it weighs at most 1;
+    beyond masks erase d lines, or all but k - 1 columns."""
+    p = code.params
+    d = rank_distance_bound(p.n, p.k, p.r, p.delta)
+    racks = [list(code.rack_columns(j)) for j in range(1, p.mu + 1)]
+
+    def piece(mask, cols):
+        if gen.random() < 0.5:
+            mask[gen.integers(p.m), gen.choice(cols, gen.integers(1, len(cols) + 1), replace=False)] = 1
+        else:
+            mask[gen.choice(p.m, gen.integers(1, p.m + 1), replace=False), gen.choice(cols)] = 1
+
+    out = [("intact", np.zeros((p.m, p.n), dtype=np.uint8))]
+    for _ in range(2):
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        for cols in [racks[j] for j in gen.permutation(p.mu)[: gen.integers(1, p.mu + 1)]]:
+            piece(mask, cols)
+        out.append(("local", mask))
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        for _ in range(max(1, d - 1)):
+            piece(mask, list(range(p.n)))
+        out.append(("global", mask))
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        own = gen.integers(p.mu)
+        piece(mask, racks[own])
+        others = [c for j, cols in enumerate(racks) if j != own for c in cols]
+        for _ in range(max(0, d - 2) if others else 0):
+            piece(mask, others)
+        out.append(("mixed", mask))
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        for line in gen.choice(p.m + p.n, d, replace=False):
+            if line < p.m:
+                mask[line] = 1
+            else:
+                mask[:, line - p.m] = 1
+        out.append(("beyond", mask))
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        for col in gen.choice(p.n, gen.integers(1, d + 1), replace=False):
+            mask[gen.choice(p.m, gen.integers(1, p.m), replace=False), col] = 1
+        out.append(("columns", mask))
+    # k - 1 surviving columns cannot pin k message symbols down
+    mask = np.ones((p.m, p.n), dtype=np.uint8)
+    mask[:, gen.choice(p.n, p.k - 1, replace=False)] = 0
+    out.append(("beyond", mask))
+    out.append(("dense", (gen.random((p.m, p.n)) < 0.3).astype(np.uint8)))
+    return out
+
+
+def _same_outcome(code, received, mask):
+    """The decoder and the staged oracle agree: words and verdicts, or the
+    exception's type and message.  Returns the oracle's exception, if any."""
+    try:
+        want = staged_decode_oracle(code, received, mask)
+    except (ValueError, AmbiguousErasureError) as exc:
+        with pytest.raises(type(exc)) as got:
+            decode_erasures_batch(code, received, mask)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return exc
+    res = decode_erasures_batch(code, received, mask)
+    assert res.matrices.dtype == np.uint8 and res.matrices.shape == want.matrices.shape
+    assert np.array_equal(res.matrices, want.matrices)
+    assert res.verdict_lines() == want.verdict_lines()
+    assert (res.local_racks, res.used_global) == (want.local_racks, want.used_global)
+    return None
+
+
+@pytest.mark.parametrize("which", ["tiny", "reference", "q3", "m16"])
+def test_erasure_plans_match_staged_oracle(which, tiny_code, example2_code):
+    # every mask class through both paths of the plan: up to q^count words
+    # multiply the digits, more gather from tables; erased cells hold
+    # garbage, and one word may carry a flipped surviving cell
+    code = {
+        "tiny": tiny_code,
+        "reference": example2_code,
+        "q3": build_code(3, 4, 4, 2, 1, 2),
+        "m16": build_code(2, 16, 8, 4, 2, 3),  # two digit chunks of 8
+    }[which]
+    p, f = code.params, code.field
+    entries = p.q ** _digit_chunks(p.q, p.m)[0][1]
+    gen = np.random.default_rng(sum(map(ord, which)))
+    words = f.matrix_batch(code.encode_batch(gen.integers(0, f.order, size=(2048, p.k))))
+    garbage = gen.integers(0, p.q, size=words.shape, dtype=np.uint8)
+    outcomes = set()
+    for cls, mask in _oracle_masks(code, gen):
+        for count in (0, 1, entries, entries + 1, 2048):
+            received = np.where(mask, garbage[:count], words[:count]).astype(np.uint8)
+            exc = _same_outcome(code, received, mask)
+            outcomes.add((cls, type(exc).__name__))
+            if exc is None and count:
+                assert np.array_equal(decode_erasures_batch(code, received, mask).matrices, words[:count])
+            rows, cols = np.nonzero(mask == 0)
+            if count and rows.size:
+                cell = gen.integers(rows.size)
+                flipped = received.copy()
+                flipped[count // 2, rows[cell], cols[cell]] += 1 + gen.integers(p.q - 1)
+                flipped %= p.q
+                outcomes.add((cls + "+flip", type(_same_outcome(code, flipped, mask)).__name__))
+    # the classes reached the outcomes they exist for
+    assert ("local", "NoneType") in outcomes and ("global", "NoneType") in outcomes
+    assert ("mixed", "NoneType") in outcomes and ("local+flip", "ValueError") in outcomes
+    assert ("beyond", "AmbiguousErasureError") in outcomes
+
+
+def test_erasure_plan_is_cached_per_mask_and_code(monkeypatch):
+    # the second decode of a mask reuses the plan: no row reduction runs
+    code = build_code(2, 6, 6, 2, 1, 2)
+    other = build_code(2, 6, 6, 2, 2, 2)  # same shape, racks of 3 columns
+    reductions = []
+    reduce = _kernels.row_reduce
+
+    def spy(*args):
+        reductions.append(args[0].shape)
+        return reduce(*args)
+
+    monkeypatch.setattr(_kernels, "row_reduce", spy)
+    mask = np.zeros((6, 6), dtype=np.uint8)
+    mask[2, :] = 1
+    mask[:, 4] = 1
+    words = code.field.matrix_batch(code.encode_batch(np.arange(10).reshape(5, 2) * 3))
+    first = decode_erasures_batch(code, np.where(mask, 0, words), mask)
+    assert reductions and np.array_equal(first.matrices, words)
+    del reductions[:]
+    again = decode_erasures_batch(code, np.where(mask, 1, words), mask)
+    assert not reductions
+    assert np.array_equal(again.matrices, first.matrices)
+    assert again.verdict_lines() == first.verdict_lines()
+    # another code with the same mask shape builds its own plan
+    theirs = other.field.matrix_batch(other.encode_batch(np.arange(10).reshape(5, 2) * 5))
+    res = decode_erasures_batch(other, np.where(mask, 0, theirs), mask)
+    assert reductions and np.array_equal(res.matrices, theirs)
+    assert len(code._erasure_plans) == len(other._erasure_plans) == 1
+
+
+def test_erasure_plan_cache_stays_at_its_bound():
+    code = build_code(2, 6, 6, 2, 1, 2)
+    word = code.encode_matrix([5, 9])
+    gen = np.random.default_rng(7)
+    keys = []
+    while len(keys) < _PLAN_CACHE_SIZE + 3:
+        mask = (gen.random((6, 6)) < 0.2).astype(np.uint8)
+        if mask.tobytes() in keys:
+            continue
+        keys.append(mask.tobytes())
+        try:
+            decode_erasures(code, np.where(mask, 0, word), mask)
+        except (ValueError, AmbiguousErasureError):
+            pass  # refused patterns keep their plan too
+        assert len(code._erasure_plans) == min(len(keys), _PLAN_CACHE_SIZE)
+    # least recently used first out
+    assert list(code._erasure_plans) == keys[3:]
+
+
+@pytest.mark.parametrize("shift", [256, -256])
+def test_decode_refuses_out_of_range_cells_before_casting(tiny_code, shift):
+    # v + 256 and v - 256 wrap to v in uint8: the range check reads the
+    # caller's array, so neither decodes as the sent word
+    golden = tiny_code.encode_matrix([tiny_code.field.omega_pow(5), 3])
+    mask = np.zeros((6, 6), dtype=np.uint8)
+    mask[:, 0] = 1
+    received = np.where(mask, 0, golden).astype(np.int64)
+    received[2, 3] += shift
+    with pytest.raises(ValueError, match="received entries out of range"):
+        decode_erasures(tiny_code, received, mask)
+    with pytest.raises(ValueError, match="received entries out of range"):
+        decode_erasures_batch(tiny_code, received[None], mask)
 
 
 # ---------------------------------------------------------------------------

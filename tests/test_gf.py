@@ -393,6 +393,23 @@ def test_gf2_digit_rows_match_divmod_oracle(m, dtype):
             assert np.array_equal(fld.to_matrix(codes.tolist()), want)
 
 
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 6), (2, 9), (2, 16), (3, 4), (4, 3), (5, 2), (9, 2)])
+def test_codes_batch_inverts_matrix_batch(q, m):
+    # the packer is checked against from_matrix, the scalar Horner loop,
+    # and returns the narrowest unsigned type that holds a code
+    f = Field(FieldSpec.default(q, m))
+    codes = np.random.default_rng(q * 31 + m).integers(0, f.order, size=(7, 5))
+    codes[0] = f.order - 1
+    mats = f.matrix_batch(codes)
+    got = f.codes_batch(mats)
+    assert got.dtype == np.min_scalar_type(f.order - 1)
+    assert np.array_equal(got, codes)
+    assert [f.from_matrix(mat) for mat in mats] == got.tolist()
+    assert f.codes_batch(mats[:0]).shape == (0, 5)
+    with pytest.raises(ValueError, match="batch, m, n"):
+        f.codes_batch(mats[0])
+
+
 def test_span_rank_matches_matrix_rank():
     # the independence checks rank element codes; the table rank of the
     # coordinate matrix is the oracle, for q = 2 (word kernel) and q = 3
