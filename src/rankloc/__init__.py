@@ -23,12 +23,10 @@ from .codes import (
 from .crisscross import (
     CorrectionReport,
     Cover,
-    NearestCodeword,
     correctable,
     crisscross_weight,
     decode_erasures,
     decode_erasures_batch,
-    decode_min_distance,
     locally_correctable,
 )
 from .gf import (
@@ -44,7 +42,7 @@ from .gf import (
     gfq_solve,
     tower_build,
 )
-from .linpoly import LinearizedPoly, root_space_dim
+from .linpoly import LinearizedPoly
 from .netsim import (
     ChannelConfig,
     ChannelOutput,
@@ -85,7 +83,6 @@ __all__ = [
     "LinearizedPoly",
     "LocalRankCode",
     "LocalityReport",
-    "NearestCodeword",
     "OracleBudgetError",
     "SplitMix64",
     "Subspace",
@@ -96,7 +93,6 @@ __all__ = [
     "crisscross_weight",
     "decode_erasures",
     "decode_erasures_batch",
-    "decode_min_distance",
     "decode_subspace_min",
     "gfq_matmul",
     "gfq_rank",
@@ -113,7 +109,6 @@ __all__ = [
     "mix64",
     "rank_distance_bound",
     "rcef",
-    "root_space_dim",
     "run_trials",
     "sampled_min_rank",
     "solve_download",

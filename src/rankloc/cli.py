@@ -178,11 +178,16 @@ def cmd_verify(args) -> int:
         lifted_label = f"lifted d_S={lifted_ds}"
         d_label = f"d={d} " + ("(optimal)" if d == bound else f"(bound {bound})")
     else:
-        d = sampled_min_rank(code, samples=args.samples, seed=args.seed)
-        local_ds = [
-            sampled_min_rank(code.local_code(j), samples=args.samples, seed=args.seed)
-            for j in range(1, p.mu + 1)
-        ]
+        try:
+            d = sampled_min_rank(code, samples=args.samples, seed=args.seed)
+            local_ds = [
+                sampled_min_rank(code.local_code(j), samples=args.samples, seed=args.seed)
+                for j in range(1, p.mu + 1)
+            ]
+        except MemoryError:
+            reason = f"out of memory at --samples {args.samples}; lower the sample count"
+            print(f"error: {reason}", file=sys.stderr)
+            return 3
         lifted_label = f"lifted d_S<={2 * d}"
         print(f"samples={args.samples} (observed minima, not exhaustive)")
         d_label = f"d<={d} (sampled)"

@@ -84,12 +84,6 @@ class CodeParams:
     def mu(self) -> int:
         return self.n // self.s
 
-    def message_slot(self, i: int, j: int) -> int:
-        """Flat message index of block-j, inner-i symbol (j outer, i inner)."""
-        if not (0 <= i < self.r and 0 <= j < self.k // self.r):
-            raise ValueError("message subscript out of range")
-        return j * self.r + i
-
 
 @functools.lru_cache(maxsize=None)
 def _digit_chunks(q: int, m: int) -> tuple[tuple[int, int], ...]:
@@ -180,10 +174,6 @@ class _EvaluationCode:
             raise ValueError("duplicate exponents")
         if field.span_rank(self.eval_points) != len(self.eval_points):
             raise ValueError("evaluation points dependent")
-        # gen[j][t] = point_t ^ (q ^ exponent_j)
-        self._gen = [
-            [field.frobenius(p, e) for p in self.eval_points] for e in self.exponents
-        ]
         self._cw_codes: np.ndarray | None = None
         self._basis: np.ndarray | None = None
         self._tables: list[tuple[int, int, np.ndarray]] | None = None
@@ -216,17 +206,9 @@ class _EvaluationCode:
         return msg
 
     def encode(self, message: Sequence[int]) -> list[int]:
-        """Codeword as n field elements, one per evaluation point."""
-        msg = self._check_message(message)
-        f = self.field
-        out = []
-        for t in range(self.n):
-            acc = 0
-            for j, mj in enumerate(msg):
-                if mj:
-                    acc = f.add(acc, f.mul(mj, self._gen[j][t]))
-            out.append(acc)
-        return out
+        """Codeword as n field elements, one per evaluation point: the one
+        row of ``encode_batch``."""
+        return self.encode_batch([message])[0].tolist()
 
     def encode_matrix(self, message: Sequence[int]) -> np.ndarray:
         return self.field.to_matrix(self.encode(message))
@@ -234,14 +216,18 @@ class _EvaluationCode:
     def _basis_images(self) -> np.ndarray:
         """(k, m, n) element codes: entry [j, t] is x^t times generator row j (cached).
 
-        Row [j, t] is the codeword of the message with x^t in slot j and
-        zero elsewhere.  Each step from x^t to x^(t+1) shifts every code
-        one digit up and folds the digit c that leaves back in as
-        c * x^m = -c * (modulus below x^m), so no field multiply runs.
+        Row [j, 0] evaluates x^(q^e_j) on the points, e_j being slot j's
+        q-exponent; row [j, t] is the codeword of the message with x^t in
+        slot j and zero elsewhere.  Each step from x^t to x^(t+1) shifts
+        every code one digit up and folds the digit c that leaves back in
+        as c * x^m = -c * (modulus below x^m), so no field multiply runs.
         """
         if self._basis is None:
             f = self.field
-            row = np.asarray(self._gen, dtype=np.int64)
+            row = np.array(
+                [[f.frobenius(p, e) for p in self.eval_points] for e in self.exponents],
+                dtype=np.int64,
+            )
             basis = np.empty((self.k, f.m, self.n), dtype=np.int64)
             for i in range(f.m):
                 basis[:, i] = row
@@ -347,10 +333,6 @@ class GabidulinCode(_EvaluationCode):
             raise ValueError("more points than field degree")
         self._init_eval(field, points, range(k))
 
-    @property
-    def designed_distance(self) -> int:
-        return self.n - self.k + 1
-
     def __repr__(self) -> str:
         return f"GabidulinCode(n={self.n}, k={self.k}, q^m={self.field.order})"
 
@@ -441,36 +423,6 @@ class LocalRankCode(_EvaluationCode):
         cols = self.rack_columns(j)
         return self.eval_points[cols.start : cols.stop]
 
-    def rack_of_column(self, col: int) -> int:
-        if not 0 <= col < self.n:
-            raise ValueError("column out of range")
-        return col // self.s + 1
-
-    def repair_poly(self, message: Sequence[int], j: int) -> LinearizedPoly:
-        """Rack-j reconstruction polynomial of q-degree <= r-1.
-
-        Within rack j the encoding polynomial collapses: the map
-        x -> x^(q^s - 1) is constant on the rack's points, so every block
-        beyond the first folds into the first r coefficients.  Evaluating
-        the result on the rack's points reproduces that slice of the
-        codeword, which is what single-rack repair solves against.
-        """
-        msg = self._check_message(message)
-        f = self.field
-        gamma = self.rack_points(j)[0]
-        h = f.pow(gamma, f.q**self.s - 1)
-        coeffs: dict[int, int] = {}
-        blocks = self.params.k // self.r
-        for i in range(self.r):
-            acc = msg[self.params.message_slot(i, 0)]
-            exp_sum = f.q**i
-            for jb in range(1, blocks):
-                term = f.mul(msg[self.params.message_slot(i, jb)], f.pow(h, exp_sum))
-                acc = f.add(acc, term)
-                exp_sum += f.q ** (self.s * jb + i)
-            coeffs[i] = acc
-        return LinearizedPoly(f, coeffs)
-
     def local_code(self, j: int) -> GabidulinCode:
         """The (r+delta-1, r) Gabidulin code living on rack j's columns (cached)."""
         if j not in self._local_codes:
@@ -526,6 +478,8 @@ def sampled_min_rank(
     An upper bound on the distance and a probabilistic floor check; use
     when the full scan is out of budget.
     """
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     rng = SplitMix64(seed)
     msgs = np.empty((samples, code.k), dtype=np.int64)
     done = 0

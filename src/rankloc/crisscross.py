@@ -28,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (
-    DEFAULT_ORACLE_BUDGET,
     LocalRankCode,
     _digit_chunks,
-    _EvaluationCode,
     _gather_sum,
     _linear_tables,
     rank_distance_bound,
@@ -45,7 +43,6 @@ from .gf import (
     base_tables,
     gfq_matmul,
     gfq_rank,
-    gfq_rank_codes,
 )
 
 
@@ -340,33 +337,27 @@ def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
             continue
         start, stop = j * s * m, (j + 1) * s * m
         lost = erased[start:stop]
-        gen = code.local_code(j + 1).generator_gfq()
-        dim = gen.shape[0]
-        rank, solve = _pattern_solve(gen, np.nonzero(~lost)[0], q)
-        own = slice(rows[start], rows[stop])
-        check = np.zeros((len(known), len(solve) - rank), dtype=np.uint8)
-        check[own] = solve[rank:].T
-        stage(check, _RESTRICTION, rank < dim)
-        if rank < dim:
-            break
         wanted = np.nonzero(lost)[0]
-        word[own, start + wanted] = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted], q)
+        gen = code.local_code(j + 1).generator_gfq()
+        rack_checks, repair = _pattern_solve(gen, np.nonzero(~lost)[0], wanted, q)
+        own = slice(rows[start], rows[stop])
+        check = np.zeros((len(known), rack_checks.shape[1]), dtype=np.uint8)
+        check[own] = rack_checks
+        stage(check, _RESTRICTION, repair is None)
+        if repair is None:
+            break
+        word[own, start + wanted] = repair
         pending[start:stop] = False
         local_racks.append(j + 1)
     else:  # no local solve was ambiguous
         if pending.any():
-            gen = code.generator_gfq()
-            dim = gen.shape[0]
             have, wanted = np.nonzero(~pending)[0], np.nonzero(pending)[0]
-            rank, solve = _pattern_solve(gen, have, q)
-            right = solve[rank:].T
-            if rank == dim:
-                repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted], q)
-                right = np.hstack([right, repair])
-            composed = compose(have, right)
-            stage(composed[:, : len(solve) - rank], _RESTRICTION, rank < dim)
-            if rank == dim:
-                word[:, wanted] = composed[:, len(solve) - rank :]
+            residual, repair = _pattern_solve(code.generator_gfq(), have, wanted, q)
+            width = residual.shape[1]
+            composed = compose(have, residual if repair is None else np.hstack([residual, repair]))
+            stage(composed[:, :width], _RESTRICTION, repair is None)
+            if repair is not None:
+                word[:, wanted] = composed[:, width:]
         else:
             stage(compose(np.arange(size), code.parity_checks()), _NOT_CODEWORD, False)
 
@@ -478,48 +469,3 @@ def decode_erasures(
     if received.ndim != 2:
         raise ValueError("expected one received array")
     return decode_erasures_batch(code, received[None], erasures)
-
-
-# ---------------------------------------------------------------------------
-# Minimum-rank-distance decoding (brute force oracle)
-
-
-@dataclass
-class NearestCodeword:
-    distance: int
-    indices: list[int]
-    matrices: list[np.ndarray]
-
-    @property
-    def is_tie(self) -> bool:
-        return len(self.indices) > 1
-
-    @property
-    def codeword(self) -> np.ndarray:
-        if self.is_tie:
-            raise ValueError("tie")
-        return self.matrices[0]
-
-
-def decode_min_distance(
-    code: _EvaluationCode, received: np.ndarray, budget: int = DEFAULT_ORACLE_BUDGET
-) -> NearestCodeword:
-    """Exhaustive nearest-codeword decoding in the rank metric.
-
-    Scans every codeword; a shared minimum is reported as a tie (callers
-    treat ties as decoding failure).
-    """
-    f = code.field
-    received = np.asarray(received, dtype=np.uint8)
-    codes = code.codeword_codes(budget)
-    if received.shape != (f.m, code.n):
-        raise ValueError("received shape mismatch")
-    diffs = f.sub_vec(codes, np.asarray(f.from_matrix(received)))
-    ranks = gfq_rank_codes(diffs, f.q, f.m)
-    dmin = int(ranks.min())
-    idx = np.nonzero(ranks == dmin)[0]
-    return NearestCodeword(
-        distance=dmin,
-        indices=[int(i) for i in idx],
-        matrices=list(f.matrix_batch(codes[idx])),
-    )

@@ -280,12 +280,6 @@ def parse_message(text: str, field: Field, k: int) -> list[int]:
     return entries
 
 
-def format_message(field: Field, elements: list[int]) -> str:
-    lines = _header("message", None, None)
-    lines.extend(field.format_element(c) for c in elements)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Pattern files: m lines of n characters, '.' ok / '?' erased / 'E' errored.
 
@@ -354,24 +348,3 @@ def format_subspace(
     lines.append(f"M={ambient} dim={dim}")
     lines.extend(_grid_row(row) for row in basis)
     return "\n".join(lines) + "\n"
-
-
-def parse_subspace(text: str, q: int = 2) -> np.ndarray:
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("missing subspace header")
-    lineno, line = lines[0]
-    parts = line.split()
-    if (
-        len(parts) != 2
-        or not parts[0].startswith("M=")
-        or not parts[1].startswith("dim=")
-    ):
-        raise FormatError("expected 'M=<int> dim=<int>' header", lineno)
-    try:
-        ambient, dim = parse_uint(parts[0][2:]), parse_uint(parts[1][4:])
-    except ValueError:
-        raise FormatError("bad subspace header", lineno) from None
-    basis = _read_grid(lines[1:], dim, _DIGITS[:q], "subspace")
-    _check_count(len(basis), ambient, "basis rows")
-    return basis

@@ -635,10 +635,7 @@ class Field:
             raise ValueError("matrix must have m rows")
         if mat.size and (mat.min() < 0 or mat.max() >= self.q):
             raise ValueError("matrix entries out of range")
-        vals = np.zeros(mat.shape[1], dtype=np.int64)
-        for i in range(self.m - 1, -1, -1):
-            vals = vals * self.q + mat[i].astype(np.int64)
-        return [int(v) for v in vals]
+        return _row_codes(mat.astype(np.uint8), self.q).tolist()
 
     def matrix_batch(self, codes: np.ndarray) -> np.ndarray:
         """Unpack a (B, n) array of element codes into (B, m, n) digit arrays."""
@@ -728,17 +725,29 @@ class AmbiguousErasureError(RuntimeError):
     """Erased cells are not determined by the surviving ones."""
 
 
-def _pattern_solve(gen: np.ndarray, known_idx: np.ndarray, q: int) -> tuple[int, np.ndarray]:
-    """(rank, E) from one reduction of [gen_K^T | I], pivots in the first dim columns.
+def _pattern_solve(
+    gen: np.ndarray, known_idx: np.ndarray, wanted_idx: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(checks, repair): the solve map of one set of known cells K.
 
-    The right block E satisfies E @ gen_K^T = [I; 0] (rank rows of I): rows
-    past the rank check that values on the known cells K come from a
-    codeword, and at full rank the first dim rows map them to the message.
+    One reduction of [gen_K^T | I], pivots in the first dim columns, gives
+    E with E @ gen_K^T = [I; 0] (rank rows of I).  Values on K come from a
+    codeword exactly when their product with ``checks`` = E[rank:]^T is
+    zero.  At full rank the first dim rows of E map them to the message,
+    so their product with ``repair`` = E[:dim]^T @ gen[:, wanted] is the
+    codeword at the wanted cells; below full rank the known cells do not
+    pin the message down and ``repair`` is None.
     """
     dim = gen.shape[0]
     aug = np.hstack([gen[:, known_idx].T, np.eye(len(known_idx), dtype=np.uint8)])
     reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
-    return len(pivots), reduced[:, dim:]
+    rank = len(pivots)
+    solve = reduced[:, dim:]
+    checks = np.ascontiguousarray(solve[rank:].T)
+    if rank < dim:
+        return checks, None
+    # pivot columns are exactly 0..dim-1, so the message is vals @ E[:dim]^T
+    return checks, gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
 
 
 def gfq_solve(
@@ -751,29 +760,23 @@ def gfq_solve(
     """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
 
     The solve depends only on the known cells (``_pattern_solve``), so the
-    whole batch costs one product: vals @ [E[rank:]^T | E[:dim]^T @ gen[:, wanted]]
-    gives the consistency checks and the wanted cells side by side.  A
-    system over GF(q^m) is solved here with each unknown expanded into its
-    m coordinates, as ``generator_gfq`` lays a code out.
+    whole batch costs one product: vals @ [checks | repair] gives the
+    consistency checks and the wanted cells side by side.  A system over
+    GF(q^m) is solved here with each unknown expanded into its m
+    coordinates, as ``generator_gfq`` lays a code out.
 
     Raises ValueError for inconsistent data and AmbiguousErasureError when
     the known cells do not pin u down (equivalently, a nonzero codeword
     vanishes on them), in that order.
     """
-    dim = gen.shape[0]
-    rank, solve = _pattern_solve(gen, known_idx, q)
-    right = solve[rank:].T
-    checks = right.shape[1]
-    if rank == dim:
-        # pivot columns are exactly 0..dim-1, so u = vals @ E[:dim]^T
-        repair = gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
-        right = np.hstack([right, repair])
-    out = gfq_matmul(vals, np.ascontiguousarray(right), q)
-    if out[:, :checks].any():
+    checks, repair = _pattern_solve(gen, known_idx, wanted_idx, q)
+    width = checks.shape[1]
+    out = gfq_matmul(vals, checks if repair is None else np.hstack([checks, repair]), q)
+    if out[:, :width].any():
         raise ValueError("not a codeword restriction")
-    if rank < dim:
+    if repair is None:
         raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    return out[:, checks:]
+    return out[:, width:]
 
 
 def gfq_parity_checks(gen: np.ndarray, q: int) -> np.ndarray:
@@ -781,8 +784,8 @@ def gfq_parity_checks(gen: np.ndarray, q: int) -> np.ndarray:
 
     These are the consistency rows of ``gfq_solve`` with every cell known.
     """
-    rank, solve = _pattern_solve(gen, np.arange(gen.shape[1]), q)
-    return np.ascontiguousarray(solve[rank:].T)
+    cells = np.arange(gen.shape[1])
+    return _pattern_solve(gen, cells, cells[:0], q)[0]
 
 
 # ---------------------------------------------------------------------------

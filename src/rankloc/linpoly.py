@@ -89,18 +89,3 @@ class LinearizedPoly:
 
     def __repr__(self) -> str:
         return f"<{self.format()}>"
-
-
-def root_space_dim(poly: LinearizedPoly) -> int:
-    """Dimension of the kernel of x -> L(x) as a GF(q)-linear map on GF(q^m).
-
-    Bounded above by the q-degree: a q-degree-l polynomial has at most q^l
-    roots in any extension.
-
-    Raises:
-        ValueError: for the zero polynomial ("root space is everything").
-    """
-    if not poly:
-        raise ValueError("root space is everything")
-    f = poly.field
-    return f.m - f.span_rank([poly(f.q**t) for t in range(f.m)])

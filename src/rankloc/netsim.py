@@ -262,6 +262,8 @@ def run_trials(
     only for the first trial it cannot answer, but a local code beyond
     ``budget`` is refused up front either way.
     """
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     p = code.params
     if config.packets_per_rack != p.s:
         raise ValueError("config packet count mismatch")

@@ -1,19 +1,25 @@
 """Shared test utilities: independent oracles and random-case generators.
 
 The oracles here deliberately avoid the package's optimized paths: rank and
-matrix products by schoolbook scalar field arithmetic, covers by brute
-subset enumeration, linearized-polynomial evaluation by direct powering,
-and erasure decoding by one solve per stage on every word, so tests
-compare two genuinely different computations.
+matrix products by schoolbook scalar field arithmetic, encoding by scalar
+evaluation at each point, covers by brute subset enumeration,
+linearized-polynomial evaluation by direct powering and root spaces by the
+rank of the polynomial's images, rack repair by the collapsed repair
+polynomial, nearest-codeword decoding by ranking the difference from every
+codeword, and erasure decoding by one solve per stage on every word, so
+tests compare two genuinely different computations.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from rankloc import gf
+from rankloc.codes import DEFAULT_ORACLE_BUDGET
 from rankloc.crisscross import ErasureDecodeResult, crisscross_weight
-from rankloc.gf import Field, FieldSpec
+from rankloc.gf import Field, FieldSpec, gfq_rank_codes
+from rankloc.linpoly import LinearizedPoly
 from rankloc.rng import SplitMix64
 from rankloc.subspace import Subspace
 
@@ -223,4 +229,101 @@ def staged_decode_oracle(code, received, erasures):
         matrices=np.ascontiguousarray(out),
         local_racks=tuple(local_racks),
         used_global=used_global,
+    )
+
+
+def encode_oracle(code, message):
+    """Codeword of ``message`` as n elements by scalar evaluation: at each
+    point p, the sum over slots j of message[j] * p^(q^e_j), one field
+    multiply a term, where ``encode`` reads one table row a slot."""
+    f = code.field
+    msg = [int(v) for v in message]
+    out = []
+    for point in code.eval_points:
+        acc = 0
+        for e, mj in zip(code.exponents, msg):
+            if mj:
+                acc = f.add(acc, f.mul(mj, f.frobenius(point, e)))
+        out.append(acc)
+    return out
+
+
+def message_slot(params, i, j):
+    """Flat message index of block-j, inner-i symbol (j outer, i inner)."""
+    if not (0 <= i < params.r and 0 <= j < params.k // params.r):
+        raise ValueError("message subscript out of range")
+    return j * params.r + i
+
+
+def repair_poly(code, message, j):
+    """Rack-j reconstruction polynomial of q-degree <= r-1.
+
+    Within rack j the encoding polynomial collapses: the map
+    x -> x^(q^s - 1) is constant on the rack's points, so every block
+    beyond the first folds into the first r coefficients.  Evaluating
+    the result on the rack's points reproduces that slice of the
+    codeword, which is what single-rack repair solves against.
+    """
+    p, f = code.params, code.field
+    msg = [int(v) for v in message]
+    h = f.pow(code.rack_points(j)[0], f.q**p.s - 1)
+    coeffs = {}
+    for i in range(p.r):
+        acc = msg[message_slot(p, i, 0)]
+        exp_sum = f.q**i
+        for jb in range(1, p.k // p.r):
+            acc = f.add(acc, f.mul(msg[message_slot(p, i, jb)], f.pow(h, exp_sum)))
+            exp_sum += f.q ** (p.s * jb + i)
+        coeffs[i] = acc
+    return LinearizedPoly(f, coeffs)
+
+
+def root_space_dim(poly):
+    """Dimension of the kernel of x -> L(x) as a GF(q)-linear map on GF(q^m).
+
+    Bounded above by the q-degree: a q-degree-l polynomial has at most q^l
+    roots in any extension.  Raises ValueError for the zero polynomial.
+    """
+    if not poly:
+        raise ValueError("root space is everything")
+    f = poly.field
+    return f.m - f.span_rank([poly(f.q**t) for t in range(f.m)])
+
+
+@dataclass
+class NearestCodeword:
+    distance: int
+    indices: list
+    matrices: list
+
+    @property
+    def is_tie(self):
+        return len(self.indices) > 1
+
+    @property
+    def codeword(self):
+        if self.is_tie:
+            raise ValueError("tie")
+        return self.matrices[0]
+
+
+def decode_min_distance(code, received, budget=DEFAULT_ORACLE_BUDGET):
+    """Exhaustive nearest-codeword decoding in the rank metric.
+
+    Ranks the difference of ``received`` from every codeword; a shared
+    minimum is reported as a tie.
+    """
+    f = code.field
+    received = np.asarray(received, dtype=np.uint8)
+    codes = code.codeword_codes(budget)
+    if received.shape != (f.m, code.n):
+        raise ValueError("received shape mismatch")
+    diffs = f.sub_vec(codes, np.asarray(f.from_matrix(received)))
+    ranks = gfq_rank_codes(diffs, f.q, f.m)
+    dmin = int(ranks.min())
+    idx = np.nonzero(ranks == dmin)[0]
+    return NearestCodeword(
+        distance=dmin,
+        indices=[int(i) for i in idx],
+        matrices=list(f.matrix_batch(codes[idx])),
     )

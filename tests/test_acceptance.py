@@ -23,7 +23,6 @@ from rankloc.crisscross import (
     crisscross_weight,
     decode_erasures,
     decode_erasures_batch,
-    decode_min_distance,
 )
 from rankloc.gf import Field, FieldSpec, gfq_rank, gfq_rank_batch, tower_build
 from rankloc.netsim import ChannelConfig, run_trials
@@ -35,7 +34,14 @@ from rankloc.subspace import (
     verify_subspace_locality,
 )
 
-from helpers import all_4x4_cover_oracle, pattern_to_matrix, rand_matrix, subfield_elements
+from helpers import (
+    all_4x4_cover_oracle,
+    decode_min_distance,
+    pattern_to_matrix,
+    rand_matrix,
+    repair_poly,
+    subfield_elements,
+)
 
 
 def build_reference_code() -> LocalRankCode:
@@ -68,7 +74,7 @@ def test_criterion_1_reference_golden_vectors():
     # factor logs 119/238 (rack 2) and 238/476 (rack 3); rack 1 folds flat
     factors = {}
     for j in (1, 2, 3):
-        rp = code.repair_poly(msg, j)
+        rp = repair_poly(code, msg, j)
         factors[j] = [
             f.log_omega(f.div(f.sub(rp.coeffs[i], msg[i]), msg[2 + i]))
             for i in (0, 1)

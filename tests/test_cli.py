@@ -606,3 +606,41 @@ def test_out_of_memory_exits_3(ws, capsys, monkeypatch):
     assert code == 3
     assert out == "d_bound=5\ngood_poly_per_rack=1,w^119,w^238\n"
     assert err == "error: out of memory at --budget 100000000000; lower the budget\n"
+
+
+def test_sampled_out_of_memory_names_samples(ws, capsys, monkeypatch):
+    # the sampled estimate draws --samples messages at once; stand in for
+    # the allocation failure instead of allocating for real
+    import rankloc.cli
+
+    def no_memory(code, samples, seed):
+        raise MemoryError
+
+    monkeypatch.setattr(rankloc.cli, "sampled_min_rank", no_memory)
+    code, out, err = run(
+        capsys, "verify", "--spec", ws / "ref.spec", "--mode", "sampled",
+        "--samples", "100000000000",
+    )
+    assert code == 3
+    assert out == "d_bound=5\ngood_poly_per_rack=1,w^119,w^238\n"
+    assert err == "error: out of memory at --samples 100000000000; lower the sample count\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_refuses_samples_below_one(ws, capsys, samples):
+    code, out, err = run(
+        capsys, "verify", "--spec", ws / "ref.spec", "--mode", "sampled", "--samples", samples,
+    )
+    assert code == 3
+    assert out == "d_bound=5\ngood_poly_per_rack=1,w^119,w^238\n"
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_simulate_refuses_trials_below_one(ws, capsys, trials):
+    code, out, err = run(
+        capsys, "simulate", "--spec", ws / "tiny.spec", "--rack", "1", "--collect", "3",
+        "--trials", trials,
+    )
+    assert code == 3 and out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"

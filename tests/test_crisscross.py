@@ -13,7 +13,6 @@ from rankloc.crisscross import (
     crisscross_weight,
     decode_erasures,
     decode_erasures_batch,
-    decode_min_distance,
     locally_correctable,
     validate_patterns,
 )
@@ -22,6 +21,7 @@ from rankloc.rng import SplitMix64
 
 from helpers import (
     cover_oracle,
+    decode_min_distance,
     is_codeword,
     rand_matrix,
     rand_nonzero_message,

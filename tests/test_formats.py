@@ -10,7 +10,6 @@ from rankloc.formats import (
     atomic_write,
     check_fingerprint,
     format_codeword,
-    format_message,
     format_received,
     format_subspace,
     load_code_spec,
@@ -19,7 +18,6 @@ from rankloc.formats import (
     parse_message,
     parse_pattern,
     parse_received,
-    parse_subspace,
 )
 from rankloc.gf import Field, FieldSpec
 from rankloc.rng import SplitMix64
@@ -177,7 +175,7 @@ def test_codeword_shape_errors(example2_field):
 def test_message_round_trip(example2_field):
     f = example2_field
     msg = [f.omega_pow(e) for e in (1, 2, 4, 8)]
-    text = format_message(f, msg)
+    text = "# rankloc message format 1\n" + "".join(f"w^{e}\n" for e in (1, 2, 4, 8))
     assert parse_message(text, f, 4) == msg
     with pytest.raises(FormatError, match="expected 4"):
         parse_message(text + "w^3\n", f, 4)
@@ -234,13 +232,16 @@ def test_received_round_trip():
 def test_subspace_round_trip(tiny_code):
     mats = tiny_code.field.matrix_batch(tiny_code.codeword_codes())
     basis = rcef(np.vstack([np.eye(6, dtype=np.uint8), mats[77]]).reshape(12, 6))
-    text = format_subspace(basis)
-    assert "M=12 dim=6" in text
-    assert (parse_subspace(text) == basis).all()
-    with pytest.raises(FormatError, match="header"):
-        parse_subspace("101010\n")
-    with pytest.raises(FormatError, match="expected 12 basis rows"):
-        parse_subspace("M=12 dim=6\n" + "000000\n")
+    text = format_subspace(basis, fingerprint="cafe00000000", spec_name="tiny.spec")
+    lines = text.splitlines()
+    assert lines[:4] == [
+        "# rankloc subspace format 1",
+        "# spec: tiny.spec",
+        "# spec-fingerprint: cafe00000000",
+        "M=12 dim=6",
+    ]
+    # the basis reads back from its rows, one digit a cell
+    assert np.array_equal(np.array([[int(ch) for ch in row] for row in lines[4:]]), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,6 @@ _PARSERS = {
     "pattern": lambda text: parse_pattern(text, 2, 3),
     "errors": lambda text: parse_error_values(text, _F2, _TWO_ERRORS),
     "received": lambda text: parse_received(text, 5, 2, 3),
-    "subspace": lambda text: parse_subspace(text, 5),
 }
 
 _MALFORMED = [
@@ -304,24 +304,12 @@ _MALFORMED = [
     ("received", "superscript", "0" + SUPERSCRIPT_TWO + "2\n???\n",
      "line 1: bad received character"),
     ("received", "arabic", "012\n?" + ARABIC_THREE + "?\n", "line 2: bad received"),
-    ("subspace", "width", "M=2 dim=3\n012\n34\n", "line 3: expected 3 subspace"),
-    ("subspace", "rows", "M=2 dim=3\n012\n", "expected 2 basis rows, found 1"),
-    ("subspace", "bad", "M=2 dim=3\n012\n3x4\n", "line 3: bad subspace character"),
-    ("subspace", "superscript", "M=2 dim=3\n0" + SUPERSCRIPT_TWO + "2\n012\n",
-     "line 2: bad subspace character"),
-    ("subspace", "arabic", "M=2 dim=3\n012\n" + ARABIC_THREE + "00\n",
-     "line 3: bad subspace character"),
-    ("subspace", "arabic_header", "M=" + ARABIC_THREE + " dim=1\n0\n0\n0\n",
-     "line 1: bad subspace header"),
-    ("subspace", "negative_header", "M=0 dim=-1\n", "line 1: bad subspace header"),
     # int() also reads underscores and signs; integers are ASCII digits only
     ("spec", "underscore", _spec("q=1_6"), "line 1: q must be an integer"),
     ("spec", "sign", _spec("q=+16"), "line 1: q must be an integer"),
     ("message", "underscore", "w^1_0\nw^2\n", "line 1: expected ASCII digits"),
     ("message", "sign", "w^1\nw^+3\n", "line 2: expected ASCII digits"),
     ("message", "comma_sign", "w^1\n1,+0,1\n", "line 2: expected ASCII digits"),
-    ("subspace", "underscore_header", "M=1_8 dim=1\n" + "0\n" * 18,
-     "line 1: bad subspace header"),
 ]
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from rankloc.codes import interpolate
 from rankloc.gf import Field, FieldSpec, gfq_rank
-from rankloc.linpoly import LinearizedPoly, root_space_dim
+from rankloc.linpoly import LinearizedPoly
 from rankloc.rng import SplitMix64
+
+from helpers import root_space_dim
 
 
 def rand_poly(rng, field, max_deg):
