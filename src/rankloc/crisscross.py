@@ -10,15 +10,15 @@ it, extracting a witness cover from the matching.
 Decoding is two staged, mirroring how racks actually repair: every rack
 whose restricted pattern is light enough is solved against its own local
 generator first, then whatever remains is solved against the full code's
-GF(q) generator.  Both stages are exact linear solves
-(``gf._pattern_solve``) that depend on the erasure pattern alone, so they
-run once per pattern: composed, they are one GF(q)-linear map from the
-surviving digits to the stages' checks and the decoded word, cached on
-the code per mask.  A batch of words goes through that map as element
-codes, by a table gather per surviving column (the Method of Four
-Russians, as ``encode_batch`` runs) or, for a few words, one product.
-The guarantee predicate is advisory, the solver's uniqueness check is
-authoritative.
+GF(q) generator, on the surviving digits alone.  Both stages are exact
+linear solves (``gf._pattern_solve``) that depend on the erasure pattern
+alone, so they run once per pattern, and side by side they are one
+GF(q)-linear map from the surviving digits to the stages' checks and the
+decoded word, cached on the code per mask.  A batch of words goes through
+that map as element codes, by a table gather per surviving column (the
+Method of Four Russians, as ``encode_batch`` runs) or, for a few words,
+one product.  The guarantee predicate is advisory, the solver's
+uniqueness check is authoritative.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .gf import (
     _digit_rows,
     _pattern_solve,
     _row_codes,
-    base_tables,
     gfq_matmul,
     gfq_rank,
 )
@@ -285,47 +284,36 @@ def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
     """Run the staged decode once on the pattern, on maps instead of words.
 
     A word's digits are laid out column-major, as ``generator_gfq`` lays a
-    codeword out, and each map below has one row per surviving digit.
-    Stage one solves each rack whose restricted weight is below delta
-    against the rack's own generator; a rack's surviving digits are a run
-    of rows.  Stage two solves what remains against the full generator,
-    composed with the local fills.  When no global solve ran, the parity
-    checks, composed the same way, close the plan; a global solve checks
-    every known cell and fills the rest from one message, so its words
-    are codewords already.  An ambiguous solve ends the plan.
+    codeword out, and each map below has one row per digit, zero at the
+    erased ones.  Stage one solves each rack whose restricted weight is
+    below delta against the rack's own generator, on the rack's surviving
+    digits.  Stage two solves what remains against the full generator on
+    every surviving digit: each codeword restricts to a local codeword on
+    every rack, so one that vanishes on the surviving digits vanishes on
+    the local fills too, and the fills add nothing to its rank, checks or
+    repair.  When no global solve ran, the parity checks close the plan; a
+    global solve checks every known cell and fills the rest from one
+    message, so its words are codewords already.  An ambiguous solve ends
+    the plan.
     """
     p = code.params
     q, m, s, size = p.q, p.m, p.s, p.n * p.m
     erased = mask.flatten(order="F").astype(bool)
     known = np.nonzero(~erased)[0]
-    # rows[i]: surviving digits before digit i, so rack j's rows run from
-    # rows[start] to rows[stop]
-    rows = np.concatenate([[0], np.cumsum(~erased)])
     # the output word's digits as a map of the surviving digits
-    word = np.zeros((len(known), size), dtype=np.uint8)
-    word[np.arange(len(known)), known] = 1
+    word = np.zeros((size, size), dtype=np.uint8)
+    word[known, known] = 1
     pending = erased.copy()
     blocks: list[np.ndarray] = []
     checks: list[tuple[int, int, str, bool]] = []
 
-    def stage(check: np.ndarray, refusal: str, ambiguous: bool) -> None:
+    def stage(rows, check: np.ndarray, refusal: str, ambiguous: bool) -> None:
         codes = -(-check.shape[1] // m)
-        block = np.zeros((len(known), codes * m), dtype=np.uint8)
-        block[:, : check.shape[1]] = check
+        block = np.zeros((size, codes * m), dtype=np.uint8)
+        block[rows, : check.shape[1]] = check
         start = checks[-1][1] if checks else 0
         blocks.append(block)
         checks.append((start, start + codes, refusal, ambiguous))
-
-    def compose(have: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # the word at the digits ``have`` (every surviving one among them)
-        # times x: surviving digits pass x's rows through in row order,
-        # filled ones multiply their maps by the rest of x
-        kept = ~erased[have]
-        out = x[kept]
-        if not kept.all():
-            filled = np.ascontiguousarray(word[:, have[~kept]])
-            out = base_tables(q).add[out, gfq_matmul(filled, np.ascontiguousarray(x[~kept]), q)]
-        return out
 
     # a rack pattern inside fewer lines than delta is light enough without
     # the matching
@@ -335,38 +323,31 @@ def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
     for j in np.nonzero(lines)[0].tolist():
         if lines[j] > p.delta - 1 and crisscross_weight(racks[:, j])[0] > p.delta - 1:
             continue
-        start, stop = j * s * m, (j + 1) * s * m
-        lost = erased[start:stop]
-        wanted = np.nonzero(lost)[0]
+        start = j * s * m
+        lost = erased[start : start + s * m]
+        have, wanted = np.nonzero(~lost)[0], np.nonzero(lost)[0]
         gen = code.local_code(j + 1).generator_gfq()
-        rack_checks, repair = _pattern_solve(gen, np.nonzero(~lost)[0], wanted, q)
-        own = slice(rows[start], rows[stop])
-        check = np.zeros((len(known), rack_checks.shape[1]), dtype=np.uint8)
-        check[own] = rack_checks
-        stage(check, _RESTRICTION, repair is None)
+        rack_checks, repair = _pattern_solve(gen, have, wanted, q)
+        stage(start + have, rack_checks, _RESTRICTION, repair is None)
         if repair is None:
             break
-        word[own, start + wanted] = repair
-        pending[start:stop] = False
+        word[np.ix_(start + have, start + wanted)] = repair
+        pending[start + wanted] = False
         local_racks.append(j + 1)
     else:  # no local solve was ambiguous
         if pending.any():
-            have, wanted = np.nonzero(~pending)[0], np.nonzero(pending)[0]
-            residual, repair = _pattern_solve(code.generator_gfq(), have, wanted, q)
-            width = residual.shape[1]
-            composed = compose(have, residual if repair is None else np.hstack([residual, repair]))
-            stage(composed[:, :width], _RESTRICTION, repair is None)
+            wanted = np.nonzero(pending)[0]
+            residual, repair = _pattern_solve(code.generator_gfq(), known, wanted, q)
+            stage(known, residual, _RESTRICTION, repair is None)
             if repair is not None:
-                word[:, wanted] = composed[:, width:]
+                word[np.ix_(known, wanted)] = repair
         else:
-            stage(compose(np.arange(size), code.parity_checks()), _NOT_CODEWORD, False)
+            stage(slice(None), gfq_matmul(word, code.parity_checks(), q), _NOT_CODEWORD, False)
 
     digits = np.hstack(blocks + [word])
     width = digits.shape[1] // m
-    images = np.zeros((size, width), dtype=np.min_scalar_type(code.field.order - 1))
-    images[known] = _row_codes(digits.reshape(-1, m).T, q).reshape(len(known), width)
     return _ErasurePlan(
-        images=images.reshape(p.n, m, width),
+        images=_row_codes(digits.reshape(-1, m).T, q).reshape(p.n, m, width),
         columns=np.nonzero(~mask.all(axis=0))[0],
         checks=tuple(checks),
         local_racks=tuple(local_racks),

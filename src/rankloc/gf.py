@@ -74,6 +74,14 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _check_order(q: int, m: int) -> None:
+    """Refuse GF(q^m) when q^m - 1 passes ``_factorize``'s reach: no element
+    of such a field can be certified primitive, and an explicit modulus
+    would be trial-divided for minutes before that refusal."""
+    if q**m - 1 > _FACTOR_LIMIT:
+        raise ValueError(f"GF({q}^{m}) unsupported: q^m - 1 exceeds 2**32")
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, e) with q = p**e, p prime."""
     factors = _factorize(q) if q >= 2 else {}
@@ -272,6 +280,7 @@ class FieldSpec:
             if m not in _BINARY_MODULI:
                 raise ValueError("fields with m > 16 unsupported")
             return FieldSpec(2, m, _BINARY_MODULI[m], ppg)
+        _check_order(q, m)
         return FieldSpec(q, m, _search_modulus(q, m, primitive=primitive), ppg)
 
 
@@ -312,6 +321,7 @@ class Field:
         if m < 1 or m > 16:
             raise ValueError("fields with m > 16 unsupported")
         self.tables = base_tables(q)
+        _check_order(q, m)
         if len(spec.modulus) != m + 1 or spec.modulus[m] != 1:
             raise ValueError("modulus must be monic of degree m")
         if any(not 0 <= c < q for c in spec.modulus):

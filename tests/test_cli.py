@@ -518,6 +518,15 @@ def test_default_modulus_search_refuses(ws, capsys):
     assert "no default modulus for GF(13^8) within 50000 trial divisions" in err
 
 
+def test_field_past_the_factoring_limit_refused(ws, capsys):
+    # x^16 + 2 is irreducible over GF(5), but 5^16 - 1 passes 2**32
+    modulus = ",".join(["2"] + ["0"] * 15 + ["1"])
+    (ws / "big.spec").write_text(f"q=5\nm=16\nn=8\nk=2\nr=2\ndelta=1\nmodulus={modulus}\n")
+    code, out, err = run(capsys, "build", "--spec", ws / "big.spec")
+    assert (code, out) == (3, "")
+    assert "GF(5^16) unsupported: q^m - 1 exceeds 2**32" in err
+
+
 def test_bad_spec_reports_reason(ws, capsys):
     (ws / "bad.spec").write_text("q=2\nm=9\nn=9\nk=3\nr=2\ndelta=2\n")
     code, _, err = run(capsys, "build", "--spec", ws / "bad.spec")

@@ -445,6 +445,31 @@ def _oracle_masks(code, gen):
     return out
 
 
+def _light_beside_global_masks(code, gen):
+    """Masks where one light rack sits beside a rack that needs the global
+    solve, each with two surviving cells to flip: one in the light rack,
+    which the local stage repairs, and one in a rack without erasures (on
+    a two-rack code, the globally repaired rack).  The light rack loses
+    cells in delta - 1 of its columns, so it may keep just r; the other
+    loses delta cells on distinct rows and columns, a weight of delta."""
+    p = code.params
+    racks = [list(code.rack_columns(j)) for j in range(1, p.mu + 1)]
+    out = []
+    for _ in range(2):
+        light, heavy, *untouched = (racks[j] for j in gen.permutation(p.mu))
+        mask = np.zeros((p.m, p.n), dtype=np.uint8)
+        for col in gen.choice(light, p.delta - 1, replace=False):
+            mask[gen.choice(p.m, gen.integers(1, p.m + 1), replace=False), col] = 1
+        mask[gen.choice(p.m, p.delta, replace=False), gen.choice(heavy, p.delta, replace=False)] = 1
+        cells = []
+        for cols in (light, (untouched or [heavy])[0]):
+            rows, at = np.nonzero(mask[:, cols] == 0)
+            pick = gen.integers(rows.size)
+            cells.append((rows[pick], cols[at[pick]]))
+        out.append((mask, cells))
+    return out
+
+
 def _same_outcome(code, received, mask):
     """The decoder and the staged oracle agree: words and verdicts, or the
     exception's type and message.  Returns the oracle's exception, if any."""
@@ -494,7 +519,25 @@ def test_erasure_plans_match_staged_oracle(which, tiny_code, example2_code):
                 flipped[count // 2, rows[cell], cols[cell]] += 1 + gen.integers(p.q - 1)
                 flipped %= p.q
                 outcomes.add((cls + "+flip", type(_same_outcome(code, flipped, mask)).__name__))
+    # a light rack beside a global solve: the global checks, read on the
+    # surviving cells, still refuse a flip in the locally repaired rack
+    mixed = set()
+    for mask, cells in _light_beside_global_masks(code, gen):
+        for count in (1, entries + 1):
+            received = np.where(mask, garbage[:count], words[:count]).astype(np.uint8)
+            exc = _same_outcome(code, received, mask)
+            mixed.add(("mixed", type(exc).__name__))
+            if exc is None:
+                res = decode_erasures_batch(code, received, mask)
+                assert res.local_racks and res.used_global
+            for row, col in cells:
+                flipped = received.copy()
+                flipped[count // 2, row, col] += 1 + gen.integers(p.q - 1)
+                flipped %= p.q
+                mixed.add(("mixed+flip", type(_same_outcome(code, flipped, mask)).__name__))
+    outcomes |= mixed
     # the classes reached the outcomes they exist for
+    assert ("mixed+flip", "ValueError") in mixed
     assert ("local", "NoneType") in outcomes and ("global", "NoneType") in outcomes
     assert ("mixed", "NoneType") in outcomes and ("local+flip", "ValueError") in outcomes
     assert ("beyond", "AmbiguousErasureError") in outcomes

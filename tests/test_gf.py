@@ -140,6 +140,22 @@ def test_default_modulus_search_is_bounded(monkeypatch, q, m):
     assert len(made) == gf._SEARCH_DIVISIONS + 1
 
 
+def test_fields_past_the_factoring_limit_refused_before_trial_division(monkeypatch):
+    # x^16 + 2x + 3 over GF(7): trial division could take up to about 6.7M
+    # divisions before the field is refused for lack of a certifiable
+    # primitive element
+    def never(deg, q):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr(gf, "_trial_divisors", never)
+    modulus = (3, 2) + (0,) * 14 + (1,)
+    for spec in (FieldSpec(7, 16, modulus), FieldSpec(7, 16, modulus, 1)):
+        with pytest.raises(ValueError, match=r"GF\(7\^16\) unsupported: q\^m - 1 exceeds 2\*\*32"):
+            Field(spec)
+    with pytest.raises(ValueError, match=r"GF\(5\^16\) unsupported"):
+        FieldSpec.default(5, 16)
+
+
 def test_base_tables_rejects_non_prime_power():
     for q in (1, 6, 10, 257):
         with pytest.raises(ValueError):
