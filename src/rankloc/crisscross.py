@@ -9,16 +9,17 @@ it, extracting a witness cover from the matching.
 
 Decoding is two staged, mirroring how racks actually repair: every rack
 whose restricted pattern is light enough is solved against its own local
-generator first, then whatever remains is solved against the full code's
-GF(q) generator, on the surviving digits alone.  Both stages are exact
-linear solves (``gf._pattern_solve``) that depend on the erasure pattern
-alone, so they run once per pattern, and side by side they are one
-GF(q)-linear map from the surviving digits to the stages' checks and the
-decoded word, cached on the code per mask.  A batch of words goes through
-that map as element codes, by a table gather per surviving column (the
-Method of Four Russians, as ``encode_batch`` runs) or, for a few words,
-one product.  The guarantee predicate is advisory, the solver's
-uniqueness check is authoritative.
+parity checks first, then whatever remains against the full code's.  Both
+stages are exact linear solves with the erased digits unknown
+(``gf._parity_solve``, erasure decoding in syndrome form, as Roth (1991)
+decodes crisscross patterns on the array view): one pivot per erased
+digit.  They depend on the pattern alone, so they run once per pattern,
+and side by side they are one GF(q)-linear map from the surviving digits
+to the stages' checks and the decoded word, cached on the code per
+mask.  A batch of words goes through that map as element codes, by a
+table gather per surviving column (the Method of Four Russians, as
+``encode_batch`` runs) or, for a few words, one product.  The guarantee
+predicate is advisory, the solver's uniqueness check is authoritative.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .codes import (
 from .gf import (
     AmbiguousErasureError,
     _digit_rows,
-    _pattern_solve,
+    _parity_solve,
     _row_codes,
     gfq_matmul,
     gfq_rank,
@@ -286,15 +287,15 @@ def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
     A word's digits are laid out column-major, as ``generator_gfq`` lays a
     codeword out, and each map below has one row per digit, zero at the
     erased ones.  Stage one solves each rack whose restricted weight is
-    below delta against the rack's own generator, on the rack's surviving
-    digits.  Stage two solves what remains against the full generator on
-    every surviving digit: each codeword restricts to a local codeword on
-    every rack, so one that vanishes on the surviving digits vanishes on
-    the local fills too, and the fills add nothing to its rank, checks or
-    repair.  When no global solve ran, the parity checks close the plan; a
-    global solve checks every known cell and fills the rest from one
-    message, so its words are codewords already.  An ambiguous solve ends
-    the plan.
+    below delta against the rack's own parity checks, its erased digits
+    unknown.  Stage two solves against the full parity checks with every
+    erased digit unknown and keeps the repair of the digits still pending:
+    each codeword restricts to a local codeword on every rack, so the
+    local fills add nothing to its rank, checks or repair.  Each solve
+    pivots once per unknown digit (``gf._parity_solve``).  When no global
+    solve ran, the parity checks close the plan; a global solve checks
+    every known cell and fills the rest from one codeword, so its words
+    are codewords already.  An ambiguous solve ends the plan.
     """
     p = code.params
     q, m, s, size = p.q, p.m, p.s, p.n * p.m
@@ -326,8 +327,7 @@ def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
         start = j * s * m
         lost = erased[start : start + s * m]
         have, wanted = np.nonzero(~lost)[0], np.nonzero(lost)[0]
-        gen = code.local_code(j + 1).generator_gfq()
-        rack_checks, repair = _pattern_solve(gen, have, wanted, q)
+        rack_checks, repair = _parity_solve(code.local_code(j + 1).parity_checks(), lost, q)
         stage(start + have, rack_checks, _RESTRICTION, repair is None)
         if repair is None:
             break
@@ -336,11 +336,10 @@ def _build_plan(code: LocalRankCode, mask: np.ndarray) -> _ErasurePlan:
         local_racks.append(j + 1)
     else:  # no local solve was ambiguous
         if pending.any():
-            wanted = np.nonzero(pending)[0]
-            residual, repair = _pattern_solve(code.generator_gfq(), known, wanted, q)
+            residual, repair = _parity_solve(code.parity_checks(), erased, q)
             stage(known, residual, _RESTRICTION, repair is None)
             if repair is not None:
-                word[np.ix_(known, wanted)] = repair
+                word[np.ix_(known, np.nonzero(pending)[0])] = repair[:, pending[erased]]
         else:
             stage(slice(None), gfq_matmul(word, code.parity_checks(), q), _NOT_CODEWORD, False)
 
@@ -412,14 +411,14 @@ def decode_erasures_batch(
     """Fill erased cells for a batch of received arrays sharing one pattern.
 
     Stage one solves each rack whose restricted erasure weight is below
-    delta against the rack's own generator; stage two solves the residual
-    against the full generator.  Both run once per pattern, as one linear
-    map (``_build_plan``), which the batch then goes through as element
-    codes.  Values at erased positions in the input are ignored.  Every
+    delta against the rack's own parity checks; stage two solves the
+    residual against the full code's.  Both run once per pattern, as one
+    linear map (``_build_plan``), which the batch then goes through as
+    element codes.  Values at erased positions in the input are ignored.  Every
     returned word is a codeword: when no global solve ran, the words are
     checked against the code's parity checks, and a batch holding any
     non-codeword, such as a word with a corrupted surviving cell, raises
-    ValueError instead.
+    ValueError instead, as does a cell dtype other than integer or bool.
     """
     p = code.params
     f = code.field
@@ -431,7 +430,9 @@ def decode_erasures_batch(
         received = received[None]
     if received.shape[1:] != (p.m, p.n):
         raise ValueError("received shape mismatch")
-    # checked before any cast, which would wrap v + 256 to v
+    # checked before any cast, which would truncate 0.5 and wrap v + 256 to v
+    if received.dtype.kind not in "biu":
+        raise ValueError(f"received entries must be integers, not {received.dtype}")
     if received.size and (received.min() < 0 or received.max() >= p.q):
         raise ValueError("received entries out of range")
     codes, plan = _decode_codes(code, f.codes_batch(received), mask)

@@ -735,29 +735,52 @@ class AmbiguousErasureError(RuntimeError):
     """Erased cells are not determined by the surviving ones."""
 
 
+def _left_reduce(a: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """(T, rank): one reduction of [a | I], pivots in a's columns.  T is
+    invertible and T @ a is a's reduced echelon form, zero past row rank
+    and, at full column rank, the identity above that."""
+    rows, cols = a.shape
+    aug = np.hstack([a, np.eye(rows, dtype=np.uint8)])
+    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=cols)
+    return reduced[:, cols:], len(pivots)
+
+
 def _pattern_solve(
     gen: np.ndarray, known_idx: np.ndarray, wanted_idx: np.ndarray, q: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(checks, repair): the solve map of one set of known cells K.
+    """(checks, repair): the generator tail, one pivot per message digit.
 
-    One reduction of [gen_K^T | I], pivots in the first dim columns, gives
-    E with E @ gen_K^T = [I; 0] (rank rows of I).  Values on K come from a
-    codeword exactly when their product with ``checks`` = E[rank:]^T is
-    zero.  At full rank the first dim rows of E map them to the message,
-    so their product with ``repair`` = E[:dim]^T @ gen[:, wanted] is the
-    codeword at the wanted cells; below full rank the known cells do not
-    pin the message down and ``repair`` is None.
+    With T from ``_left_reduce(gen_K^T)``, values on the known cells K come
+    from a codeword exactly when their product with ``checks`` = T[rank:]^T
+    is zero.  At full rank T[:dim] maps them to the message, so their
+    product with ``repair`` = T[:dim]^T @ gen[:, wanted] is the codeword at
+    the wanted cells; below full rank ``repair`` is None.
     """
     dim = gen.shape[0]
-    aug = np.hstack([gen[:, known_idx].T, np.eye(len(known_idx), dtype=np.uint8)])
-    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
-    rank = len(pivots)
-    solve = reduced[:, dim:]
+    solve, rank = _left_reduce(gen[:, known_idx].T, q)
     checks = np.ascontiguousarray(solve[rank:].T)
     if rank < dim:
         return checks, None
-    # pivot columns are exactly 0..dim-1, so the message is vals @ E[:dim]^T
     return checks, gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
+
+
+def _parity_solve(
+    parity: np.ndarray, erased: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(checks, repair): the parity tail, one pivot per erased digit.
+
+    ``parity`` is H^T and ``erased`` masks its rows E; the rest are the
+    known digits K.  With T from ``_left_reduce(H_E)``, P = H_K^T @ T^T
+    turns x_E @ H_E^T = -x_K @ H_K^T into x_E @ (T @ H_E)^T = -x_K @ P, so
+    x_K is a codeword restriction exactly when its product with ``checks``
+    = P[:, rank:] is zero: |K| - rank(gen_K) checks, as ``_pattern_solve``
+    gives.  At full rank ``repair`` = -P[:, :rank] gives the erased digits
+    in order; below it a codeword vanishes on K and ``repair`` is None.
+    """
+    solve, rank = _left_reduce(parity[erased].T, q)
+    prod = gfq_matmul(parity[~erased], solve.T, q)
+    repair = base_tables(q).sub[0, prod[:, :rank]] if rank == erased.sum() else None
+    return prod[:, rank:], repair
 
 
 def gfq_solve(

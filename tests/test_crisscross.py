@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from rankloc import _kernels
+from rankloc import _kernels, gf
 from rankloc.codes import _digit_chunks, build_code, rank_distance_bound
 from rankloc.crisscross import (
     _PLAN_CACHE_SIZE,
     AmbiguousErasureError,
     Cover,
+    _build_plan,
     correctable,
     crisscross_weight,
     decode_erasures,
@@ -592,6 +593,43 @@ def test_erasure_plan_cache_stays_at_its_bound():
     assert list(code._erasure_plans) == keys[3:]
 
 
+@pytest.mark.parametrize("which", ["tiny", "reference", "q3"])
+def test_plan_reductions_pivot_on_the_erased_digits(which, tiny_code, example2_code, monkeypatch):
+    # each plan stage eliminates one pivot column per unknown digit: a
+    # light rack's erased digits, then every erased digit for the global
+    # stage; a solve against the generators would pivot on message digits
+    code = {
+        "tiny": tiny_code,
+        "reference": example2_code,
+        "q3": build_code(3, 4, 4, 2, 1, 2),
+    }[which]
+    p = code.params
+    # parity checks are built by a reduction of their own, once per code
+    for j in range(1, p.mu + 1):
+        code.local_code(j).parity_checks()
+    code.parity_checks()
+    pivots = []
+    reduce = gf.gfq_row_reduce
+
+    def spy(mat, q=2, n_pivot_cols=None):
+        pivots.append(n_pivot_cols)
+        return reduce(mat, q, n_pivot_cols)
+
+    monkeypatch.setattr(gf, "gfq_row_reduce", spy)
+    gen = np.random.default_rng(sum(map(ord, which)) + 30)
+    stages = set()
+    for cls, mask in _oracle_masks(code, gen):
+        del pivots[:]
+        plan = _build_plan(code, mask)
+        racks = mask.reshape(p.m, p.mu, p.s)
+        want = [int(racks[:, j - 1].sum()) for j in plan.local_racks]
+        if plan.used_global:
+            want.append(int(mask.sum()))
+        assert pivots == want, (cls, plan.local_racks, plan.used_global)
+        stages.add((bool(plan.local_racks), plan.used_global))
+    assert stages == {(False, False), (True, False), (False, True), (True, True)}
+
+
 @pytest.mark.parametrize("shift", [256, -256])
 def test_decode_refuses_out_of_range_cells_before_casting(tiny_code, shift):
     # v + 256 and v - 256 wrap to v in uint8: the range check reads the
@@ -605,6 +643,34 @@ def test_decode_refuses_out_of_range_cells_before_casting(tiny_code, shift):
         decode_erasures(tiny_code, received, mask)
     with pytest.raises(ValueError, match="received entries out of range"):
         decode_erasures_batch(tiny_code, received[None], mask)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, 1j])
+def test_decode_refuses_non_integer_cells_before_casting(tiny_code, bad):
+    # a cast would truncate 0.5 to 0, turn NaN into some integer and drop
+    # an imaginary part, so the word would come back as a verified codeword
+    golden = tiny_code.encode_matrix([tiny_code.field.omega_pow(5), 3])
+    mask = np.zeros((6, 6), dtype=np.uint8)
+    mask[:, 0] = 1
+    received = np.where(mask, 0, golden).astype(np.result_type(bad))
+    rows, cols = np.nonzero((mask == 0) & (golden == 0))
+    received[rows[0], cols[0]] += bad
+    with pytest.raises(ValueError, match="received entries must be integers"):
+        decode_erasures(tiny_code, received, mask)
+    with pytest.raises(ValueError, match="received entries must be integers"):
+        decode_erasures_batch(tiny_code, received[None], mask)
+
+
+def test_decode_reads_integer_and_bool_cells_alike(tiny_code):
+    golden = tiny_code.encode_matrix([tiny_code.field.omega_pow(5), 3])
+    mask = np.zeros((6, 6), dtype=np.uint8)
+    mask[:, 0] = 1
+    mask[3, :] = 1
+    received = np.where(mask, 1, golden)
+    for dtype in (np.uint8, np.int8, np.int64, np.uint64, bool):
+        res = decode_erasures(tiny_code, received.astype(dtype), mask)
+        assert res.matrix.dtype == np.uint8 and np.array_equal(res.matrix, golden)
+        assert res.verdict_lines() == ["LOCAL j=2,3", "GLOBAL"]
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +758,101 @@ def test_solve_known_checks_consistency_before_ambiguity():
             solve(gen, known, vals, wanted, 2)
         with pytest.raises(AmbiguousErasureError):
             solve(gen, known, vals[:1], wanted, 2)
+
+
+def _tail_cases(code, gen):
+    """(class, generator, H^T, erased digits) for the two tails to agree on:
+    nothing erased, one light rack in its local code's frame, a global
+    pattern of d - 1 line pieces, rank-deficient patterns in both frames,
+    and everything erased.  Digits are column-major, as ``generator_gfq``
+    lays a word out."""
+    p = code.params
+    d = rank_distance_bound(p.n, p.k, p.r, p.delta)
+    full = (code.generator_gfq(), code.parity_checks())
+    j = 1 + int(gen.integers(p.mu))
+    rack = (code.local_code(j).generator_gfq(), code.local_code(j).parity_checks())
+
+    def erased(mask):
+        return mask.flatten(order="F").astype(bool)
+
+    # a column keeps a cell, so the rack has checks
+    light = np.zeros((p.m, p.s), dtype=np.uint8)
+    for col in gen.choice(p.s, p.delta - 1, replace=False):
+        light[gen.choice(p.m, gen.integers(1, p.m), replace=False), col] = 1
+    spread = np.zeros((p.m, p.n), dtype=np.uint8)
+    for _ in range(max(1, d - 1)):
+        if gen.random() < 0.5:
+            spread[gen.integers(p.m), gen.choice(p.n, gen.integers(1, p.n + 1), replace=False)] = 1
+        else:
+            spread[gen.choice(p.m, gen.integers(1, p.m + 1), replace=False), gen.integers(p.n)] = 1
+    # k - 1 surviving columns of the code, r - 1 of the rack
+    short = np.ones((p.m, p.n), dtype=np.uint8)
+    short[:, gen.choice(p.n, p.k - 1, replace=False)] = 0
+    rack_short = np.ones((p.m, p.s), dtype=np.uint8)
+    rack_short[:, gen.choice(p.s, p.r - 1, replace=False)] = 0
+    return [
+        ("intact", *full, np.zeros(p.n * p.m, dtype=bool)),
+        ("light", *rack, erased(light)),
+        ("global", *full, erased(spread)),
+        ("deficient", *full, erased(short)),
+        ("deficient", *rack, erased(rack_short)),
+        ("everything", *full, np.ones(p.n * p.m, dtype=bool)),
+    ]
+
+
+@pytest.mark.parametrize("which", ["tiny", "reference", "q3", "m16"])
+def test_parity_tail_matches_generator_tail(which, tiny_code, example2_code):
+    # the solve from the parity side, one pivot per erased digit, against
+    # the one from the generator side, one pivot per message digit: the
+    # same check count, the same consistent words among codeword
+    # restrictions and words with one known digit shifted, the same
+    # repair at full rank and the same ambiguity below it
+    code = {
+        "tiny": tiny_code,
+        "reference": example2_code,
+        "q3": build_code(3, 4, 4, 2, 1, 2),
+        "m16": build_code(2, 16, 8, 4, 2, 3),
+    }[which]
+    q = code.params.q
+    add = base_tables(q).add
+    gen = np.random.default_rng(sum(map(ord, which)) + 20)
+
+    def consistent(vals, checks):
+        return ~gf.gfq_matmul(vals, checks, q).any(axis=1)
+
+    seen = set()
+    for cls, generator, parity, erased in _tail_cases(code, gen):
+        known, lost = np.nonzero(~erased)[0], np.nonzero(erased)[0]
+        g_checks, g_repair = gf._pattern_solve(generator, known, lost, q)
+        p_checks, p_repair = gf._parity_solve(parity, erased, q)
+        assert p_checks.shape == g_checks.shape == (known.size, g_checks.shape[1])
+        assert (p_repair is None) == (g_repair is None)
+        words = gf.gfq_matmul(
+            gen.integers(0, q, size=(64, generator.shape[0]), dtype=np.uint8), generator, q
+        )
+        assert consistent(words[:, known], g_checks).all()
+        assert consistent(words[:, known], p_checks).all()
+        shifted = words.copy()
+        if known.size:
+            rows, at = np.arange(len(words)), gen.choice(known, len(words))
+            shifted[rows, at] = add[shifted[rows, at], gen.integers(1, q, size=len(words))]
+        ok = consistent(shifted[:, known], g_checks)
+        assert np.array_equal(consistent(shifted[:, known], p_checks), ok)
+        if not ok.all():
+            seen.add((cls, "refused"))
+        if p_repair is None:
+            seen.add((cls, "ambiguous"))
+        else:
+            assert np.array_equal(gf.gfq_matmul(words[:, known], p_repair, q), words[:, lost])
+            assert np.array_equal(
+                gf.gfq_matmul(words[:, known], g_repair, q), words[:, lost]
+            )
+            seen.add((cls, "repaired"))
+    # every class reached what it exists for: repairs and refused shifts
+    # where the rank is full, ambiguity where it is not
+    assert seen >= {(cls, out) for cls in ("intact", "light", "global") for out in ("repaired", "refused")}
+    assert ("deficient", "ambiguous") in seen and ("everything", "ambiguous") in seen
+    assert not {("intact", "ambiguous"), ("light", "ambiguous"), ("global", "ambiguous")} & seen
 
 
 def test_min_distance_decode_exact_and_rank1(tiny_code):
