@@ -7,8 +7,9 @@ serves every supported q.  Row operations are fancy-indexed table lookups
 over whole rows, and ``rank_batch`` drives one elimination across a whole
 batch of matrices, GF(2) included.  GF(2) takes bit-level shortcuts
 elsewhere: ``rank_words`` ranks vectors packed as integer words by a
-leading-bit elimination, row reduction clears a column by XORing the
-pivot row into the others, and a GF(2) ``matmul`` packs both operands
+leading-bit elimination, row reduction holds each row as one Python int,
+a bitset of any width, and clears a column by XORing the pivot row into
+the rows that hold its bit, and a GF(2) ``matmul`` packs both operands
 into uint64 words along the inner dimension, each output bit a popcount
 parity.  A linear map on a batch of more words than one table has entries
 runs as a table gather on their element codes instead
@@ -23,10 +24,41 @@ import numpy as np
 BACKEND = "numpy"
 
 
+def _reduce_bits(mat, n_pivot_cols):
+    # GF(2) rows as int bitsets, bit j = column j: the pivot search and row
+    # operations of the table path, one big-int XOR per row touched
+    rows, cols = mat.shape
+    width = -(-cols // 8)
+    packed = np.packbits(mat, axis=1, bitorder="little").tobytes()
+    work = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(rows)]
+    pivots = []
+    for col in range(n_pivot_cols):
+        r = len(pivots)
+        bit = 1 << col
+        for piv in range(r, rows):
+            if work[piv] & bit:
+                break
+        else:
+            continue
+        top = work[piv]
+        work[piv] = work[r]
+        work = [w ^ top if w & bit else w for w in work]
+        work[r] = top
+        pivots.append(col)
+        if r + 1 == rows:
+            break
+    return work, pivots
+
+
 def _reduce(mat, sub, mul, inv, n_pivot_cols):
     work = np.array(mat, dtype=np.uint8, copy=True)
     rows, cols = work.shape
-    binary = len(inv) == 2
+    if len(inv) == 2:
+        bits, pivots = _reduce_bits(work, n_pivot_cols)
+        width = -(-cols // 8)
+        packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in bits), np.uint8)
+        work = np.unpackbits(packed.reshape(rows, width), axis=1, count=cols, bitorder="little")
+        return work, np.asarray(pivots, dtype=np.int64)
     pivots = []
     r = 0
     for col in range(n_pivot_cols):
@@ -36,20 +68,13 @@ def _reduce(mat, sub, mul, inv, n_pivot_cols):
         piv = r + below[0]
         if piv != r:
             work[[r, piv]] = work[[piv, r]]
-        if binary:
-            # row r into every other row holding the column: one masked XOR
-            # over the whole matrix costs less than gathering those rows
-            hits = work[:, col].copy()
-            hits[r] = 0
-            work ^= hits[:, None] & work[r]
-        else:
-            p = work[r, col]
-            if p != 1:
-                work[r] = mul[inv[p], work[r]]
-            nz = work[:, col].nonzero()[0]
-            nz = nz[nz != r]
-            if nz.size:
-                work[nz] = sub[work[nz], mul[work[nz, col][:, None], work[r][None, :]]]
+        p = work[r, col]
+        if p != 1:
+            work[r] = mul[inv[p], work[r]]
+        nz = work[:, col].nonzero()[0]
+        nz = nz[nz != r]
+        if nz.size:
+            work[nz] = sub[work[nz], mul[work[nz, col][:, None], work[r][None, :]]]
         pivots.append(col)
         r += 1
         if r == rows:
@@ -63,9 +88,11 @@ def row_reduce(mat, sub, mul, inv, n_pivot_cols):
 
 
 def rank(mat, sub, mul, inv):
-    # the private helper, so a wrapper rebound over ``row_reduce`` counts
-    # only the callers of row_reduce itself
+    # the private helpers, so a wrapper rebound over ``row_reduce`` counts
+    # only the callers of row_reduce itself; GF(2) rows are never unpacked
     mat = np.asarray(mat, dtype=np.uint8)
+    if len(inv) == 2:
+        return len(_reduce_bits(mat, mat.shape[1])[1])
     return len(_reduce(mat, sub, mul, inv, mat.shape[1])[1])
 
 

@@ -343,8 +343,8 @@ def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> L
     The points must be linearly independent over GF(q).  The coefficients
     are then the message of the Gabidulin code of dimension len(points) on
     them whose codeword is ``values``: one ``gfq_solve`` against its GF(q)
-    generator, with identity columns appended so that the solve returns the
-    message's coordinates.
+    generator, with identity columns appended as the wanted cells, so that
+    the solve returns the message's coordinates.
 
     Raises:
         ValueError: if the system is singular ("Moore matrix singular"),

@@ -39,6 +39,7 @@ from .codes import (
 from .gf import (
     AmbiguousErasureError,
     _digit_rows,
+    _gfq_entries,
     _parity_solve,
     _row_codes,
     gfq_matmul,
@@ -137,11 +138,9 @@ def validate_patterns(
     if errors is None:
         err = np.zeros_like(mask)
     else:
-        err = np.asarray(errors, dtype=np.uint8)
+        err = _gfq_entries(errors, q, "error values")
         if err.shape != mask.shape:
             raise ValueError("error pattern shape mismatch")
-        if err.size and err.max() >= q:
-            raise ValueError("error values out of range")
         if np.any(err[mask.astype(bool)]):
             raise ValueError("errors must vanish on erased cells")
     return mask, err
@@ -430,11 +429,7 @@ def decode_erasures_batch(
         received = received[None]
     if received.shape[1:] != (p.m, p.n):
         raise ValueError("received shape mismatch")
-    # checked before any cast, which would truncate 0.5 and wrap v + 256 to v
-    if received.dtype.kind not in "biu":
-        raise ValueError(f"received entries must be integers, not {received.dtype}")
-    if received.size and (received.min() < 0 or received.max() >= p.q):
-        raise ValueError("received entries out of range")
+    received = _gfq_entries(received, p.q, "received entries")
     codes, plan = _decode_codes(code, f.codes_batch(received), mask)
     return ErasureDecodeResult(
         matrices=f.matrix_batch(codes),

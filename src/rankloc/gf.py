@@ -664,14 +664,23 @@ class Field:
 # GF(q) matrix helpers
 
 
+def _gfq_entries(a, q: int, what: str) -> np.ndarray:
+    """``a`` as uint8 entries of GF(q), checked before the cast, which
+    would truncate 0.5 and wrap v + 256 and v - 256 to v."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be integers, not {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= q):
+        raise ValueError(f"{what} out of range")
+    return a.astype(np.uint8, copy=False)
+
+
 def gfq_rank(mat: np.ndarray, q: int = 2) -> int:
     """Exact rank of a matrix with entries in GF(q)."""
     t = base_tables(q)
-    mat = np.asarray(mat, dtype=np.uint8)
+    mat = _gfq_entries(mat, q, "matrix entries")
     if mat.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if mat.size and mat.max() >= q:
-        raise ValueError("matrix entries out of range")
     if 0 in mat.shape:
         return 0
     return int(_kernels.rank(mat, t.sub, t.mul, t.inv))
@@ -735,33 +744,16 @@ class AmbiguousErasureError(RuntimeError):
     """Erased cells are not determined by the surviving ones."""
 
 
-def _left_reduce(a: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    """(T, rank): one reduction of [a | I], pivots in a's columns.  T is
-    invertible and T @ a is a's reduced echelon form, zero past row rank
-    and, at full column rank, the identity above that."""
-    rows, cols = a.shape
-    aug = np.hstack([a, np.eye(rows, dtype=np.uint8)])
-    reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=cols)
+def _left_reduce(a: np.ndarray, q: int, right: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """(T @ right, rank): one reduction of [a | right], pivots in a's
+    columns, ``right`` the identity by default.  T is invertible and T @ a
+    is a's reduced echelon form, zero past row rank and, at full column
+    rank, the identity above that, so the rows of T @ right past the rank
+    are its consistency checks."""
+    cols = a.shape[1]
+    right = np.eye(len(a), dtype=np.uint8) if right is None else right
+    reduced, pivots = gfq_row_reduce(np.hstack([a, right]), q, n_pivot_cols=cols)
     return reduced[:, cols:], len(pivots)
-
-
-def _pattern_solve(
-    gen: np.ndarray, known_idx: np.ndarray, wanted_idx: np.ndarray, q: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(checks, repair): the generator tail, one pivot per message digit.
-
-    With T from ``_left_reduce(gen_K^T)``, values on the known cells K come
-    from a codeword exactly when their product with ``checks`` = T[rank:]^T
-    is zero.  At full rank T[:dim] maps them to the message, so their
-    product with ``repair`` = T[:dim]^T @ gen[:, wanted] is the codeword at
-    the wanted cells; below full rank ``repair`` is None.
-    """
-    dim = gen.shape[0]
-    solve, rank = _left_reduce(gen[:, known_idx].T, q)
-    checks = np.ascontiguousarray(solve[rank:].T)
-    if rank < dim:
-        return checks, None
-    return checks, gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
 
 
 def _parity_solve(
@@ -773,7 +765,7 @@ def _parity_solve(
     known digits K.  With T from ``_left_reduce(H_E)``, P = H_K^T @ T^T
     turns x_E @ H_E^T = -x_K @ H_K^T into x_E @ (T @ H_E)^T = -x_K @ P, so
     x_K is a codeword restriction exactly when its product with ``checks``
-    = P[:, rank:] is zero: |K| - rank(gen_K) checks, as ``_pattern_solve``
+    = P[:, rank:] is zero: |K| - rank(gen_K) checks, as the generator side
     gives.  At full rank ``repair`` = -P[:, :rank] gives the erased digits
     in order; below it a codeword vanishes on K and ``repair`` is None.
     """
@@ -792,33 +784,34 @@ def gfq_solve(
 ) -> np.ndarray:
     """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
 
-    The solve depends only on the known cells (``_pattern_solve``), so the
-    whole batch costs one product: vals @ [checks | repair] gives the
-    consistency checks and the wanted cells side by side.  A system over
-    GF(q^m) is solved here with each unknown expanded into its m
-    coordinates, as ``generator_gfq`` lays a code out.
+    One reduction of [gen_K^T | vals^T] (``_left_reduce``): the rows past
+    the rank are the consistency checks of every batch row at once, and
+    at full rank the rows above it are u^T, so one product u @ gen_W
+    gives the wanted cells.  A system over GF(q^m) is solved here with
+    each unknown expanded into its m coordinates, as ``generator_gfq``
+    lays a code out.
 
     Raises ValueError for inconsistent data and AmbiguousErasureError when
     the known cells do not pin u down (equivalently, a nonzero codeword
     vanishes on them), in that order.
     """
-    checks, repair = _pattern_solve(gen, known_idx, wanted_idx, q)
-    width = checks.shape[1]
-    out = gfq_matmul(vals, checks if repair is None else np.hstack([checks, repair]), q)
-    if out[:, :width].any():
+    dim = gen.shape[0]
+    solved, rank = _left_reduce(gen[:, known_idx].T, q, np.asarray(vals, dtype=np.uint8).T)
+    if solved[rank:].any():
         raise ValueError("not a codeword restriction")
-    if repair is None:
+    if rank < dim:
         raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    return out[:, width:]
+    return gfq_matmul(np.ascontiguousarray(solved[:dim].T), gen[:, wanted_idx], q)
 
 
 def gfq_parity_checks(gen: np.ndarray, q: int) -> np.ndarray:
     """H^T with x @ H^T = 0 exactly for x in the row space of ``gen``.
 
-    These are the consistency rows of ``gfq_solve`` with every cell known.
+    These are T[rank:]^T off the reduction of G^T: the consistency checks
+    ``gfq_solve`` applies with every cell known.
     """
-    cells = np.arange(gen.shape[1])
-    return _pattern_solve(gen, cells, cells[:0], q)[0]
+    solve, rank = _left_reduce(gen.T, q)
+    return np.ascontiguousarray(solve[rank:].T)
 
 
 # ---------------------------------------------------------------------------

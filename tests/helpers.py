@@ -6,8 +6,9 @@ evaluation at each point, covers by brute subset enumeration,
 linearized-polynomial evaluation by direct powering and root spaces by the
 rank of the polynomial's images, rack repair by the collapsed repair
 polynomial, nearest-codeword decoding by ranking the difference from every
-codeword, and erasure decoding by one solve per stage on every word, so
-tests compare two genuinely different computations.
+codeword, erasure decoding by one solve per stage on every word, GF(2)
+row reduction by whole-matrix masked XORs and linear solves through an
+explicit solve map, so tests compare two genuinely different computations.
 """
 
 import functools
@@ -60,6 +61,62 @@ def naive_rank(mat, q):
         rank += 1
         col += 1
     return rank
+
+
+def masked_xor_reduce(mat, n_pivot_cols):
+    """GF(2) reduced row echelon form on a uint8 matrix, one masked XOR of
+    the pivot row over the whole matrix per pivot: the row reduction
+    ``_kernels._reduce`` ran over GF(2) before rows became int bitsets."""
+    work = np.array(mat, dtype=np.uint8, copy=True)
+    rows = work.shape[0]
+    pivots = []
+    r = 0
+    for col in range(n_pivot_cols):
+        below = work[r:, col].nonzero()[0]
+        if not below.size:
+            continue
+        piv = r + below[0]
+        if piv != r:
+            work[[r, piv]] = work[[piv, r]]
+        hits = work[:, col].copy()
+        hits[r] = 0
+        work ^= hits[:, None] & work[r]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return work, np.asarray(pivots, dtype=np.int64)
+
+
+def pattern_solve(gen, known_idx, wanted_idx, q):
+    """(checks, repair): the solve map of the generator side, one pivot per
+    message digit.
+
+    With T from ``gf._left_reduce(gen_K^T)``, values on the known cells K
+    come from a codeword exactly when their product with ``checks`` =
+    T[rank:]^T is zero.  At full rank T[:dim] maps them to the message, so
+    their product with ``repair`` = T[:dim]^T @ gen[:, wanted] is the
+    codeword at the wanted cells; below full rank ``repair`` is None.
+    """
+    dim = gen.shape[0]
+    solve, rank = gf._left_reduce(gen[:, known_idx].T, q)
+    checks = np.ascontiguousarray(solve[rank:].T)
+    if rank < dim:
+        return checks, None
+    return checks, gf.gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
+
+
+def map_form_solve(gen, known_idx, vals, wanted_idx, q):
+    """``gf.gfq_solve`` through the solve map: vals @ [checks | repair] in
+    one product, refusing as the solver does and in its order."""
+    checks, repair = pattern_solve(gen, known_idx, wanted_idx, q)
+    width = checks.shape[1]
+    out = gf.gfq_matmul(vals, checks if repair is None else np.hstack([checks, repair]), q)
+    if out[:, :width].any():
+        raise ValueError("not a codeword restriction")
+    if repair is None:
+        raise gf.AmbiguousErasureError("erasure pattern exceeds guarantee")
+    return out[:, width:]
 
 
 def digit_rows_oracle(codes, q, count):

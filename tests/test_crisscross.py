@@ -24,6 +24,8 @@ from helpers import (
     cover_oracle,
     decode_min_distance,
     is_codeword,
+    map_form_solve,
+    pattern_solve,
     rand_matrix,
     rand_nonzero_message,
     staged_decode_oracle,
@@ -112,6 +114,21 @@ def test_cover_rejects_non_cover():
 
 # ---------------------------------------------------------------------------
 # pattern validation
+
+
+@pytest.mark.parametrize("q, bad", [(2, 256), (2, 0.5), (3, -255), (2, -1)])
+def test_patterns_refuse_entries_a_cast_would_change(tiny_code, q, bad):
+    # uint8 would read 256 and -255 (over GF(3)) as 0 and 1, and 0.5 as 0,
+    # so the checks read the caller's array before any cast
+    mask = np.zeros((6, 6), dtype=np.uint8)
+    with pytest.raises(ValueError, match="error values"):
+        validate_patterns(mask, np.full((6, 6), bad), q)
+    if q == 2:
+        with pytest.raises(ValueError, match="error values"):
+            correctable(tiny_code, mask, np.full((6, 6), bad))
+        with pytest.raises(ValueError, match="error values"):
+            locally_correctable(tiny_code, mask, np.full((6, 6), bad), 1)
+    assert validate_patterns(mask, np.ones((6, 6), dtype=bool), q)[1].dtype == np.uint8
 
 
 def test_validate_patterns(example2_code):
@@ -739,6 +756,7 @@ def test_solve_known_matches_per_word_elimination(q):
         old = _solve_outcome(_solve_known_per_word, gen, known, vals, wanted, q)
         new = _solve_outcome(gfq_solve, gen, known, vals, wanted, q)
         assert new == old, (case, dim, known.tolist(), batch, mode)
+        assert _solve_outcome(map_form_solve, gen, known, vals, wanted, q) == old
         seen.add((batch, old if isinstance(old, str) else "solved"))
     # every batch size meets every outcome, except that no word of an
     # empty batch can be inconsistent
@@ -758,6 +776,38 @@ def test_solve_known_checks_consistency_before_ambiguity():
             solve(gen, known, vals, wanted, 2)
         with pytest.raises(AmbiguousErasureError):
             solve(gen, known, vals[:1], wanted, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_gfq_solve_matches_map_form(q):
+    # the one reduction of [G_K^T | vals^T] against the explicit solve map
+    # [checks | repair] of the generator side, class by class: columns 0
+    # and 1 of the generator are equal, so values that differ there are
+    # inconsistent, and K = {0, 1, 2} cannot pin a 4-digit message
+    gen_rng = np.random.default_rng(50 + q)
+    gen = gen_rng.integers(0, q, size=(4, 12), dtype=np.uint8)
+    while gfq_rank(gen[:, 1:6], q) < 4:
+        gen = gen_rng.integers(0, q, size=(4, 12), dtype=np.uint8)
+    gen[:, 1] = gen[:, 0]
+    words = gf.gfq_matmul(gen_rng.integers(0, q, size=(7, 4), dtype=np.uint8), gen, q)
+    bad = words.copy()
+    bad[3, 0] = (bad[3, 0] + 1) % q
+    full, short = np.arange(8), np.arange(3)
+    cases = [
+        ("consistent", full, words[:1], "solved"),
+        ("inconsistent", full, bad[3:4], "ValueError"),
+        ("ambiguous", short, words[:1], "AmbiguousErasureError"),
+        ("inconsistent and ambiguous", short, bad[3:4], "ValueError"),
+        ("batch, one bad row", full, bad, "ValueError"),
+        ("batch", full, words, "solved"),
+    ]
+    for name, known, vals, expected in cases:
+        wanted = np.setdiff1d(np.arange(12), known)
+        got = _solve_outcome(gfq_solve, gen, known, vals[:, known], wanted, q)
+        assert got == _solve_outcome(map_form_solve, gen, known, vals[:, known], wanted, q), name
+        assert (got if isinstance(got, str) else "solved") == expected, name
+        if expected == "solved":
+            assert got == vals[:, wanted].tolist(), name
 
 
 def _tail_cases(code, gen):
@@ -823,7 +873,7 @@ def test_parity_tail_matches_generator_tail(which, tiny_code, example2_code):
     seen = set()
     for cls, generator, parity, erased in _tail_cases(code, gen):
         known, lost = np.nonzero(~erased)[0], np.nonzero(erased)[0]
-        g_checks, g_repair = gf._pattern_solve(generator, known, lost, q)
+        g_checks, g_repair = pattern_solve(generator, known, lost, q)
         p_checks, p_repair = gf._parity_solve(parity, erased, q)
         assert p_checks.shape == g_checks.shape == (known.size, g_checks.shape[1])
         assert (p_repair is None) == (g_repair is None)

@@ -557,6 +557,22 @@ def test_sub_vec_inverts_add_vec():
 # spec validation
 
 
+@pytest.mark.parametrize(
+    "q, mat", [(2, [[256, 1]]), (2, [[0.5, 1]]), (3, [[-255, 1]]), (2, [[1, np.nan]])]
+)
+def test_gfq_rank_refuses_entries_a_cast_would_change(q, mat):
+    # uint8 would read 256 as 0, 0.5 as 0 and -255 as 1: the rank of a
+    # matrix that is not over GF(q) is refused, not computed
+    with pytest.raises(ValueError, match="matrix entries"):
+        gfq_rank(np.asarray(mat), q)
+
+
+def test_gfq_rank_reads_bool_and_wide_integers():
+    mat = np.array([[1, 0, 1], [0, 1, 1]])
+    assert gfq_rank(mat, 2) == gfq_rank(mat.astype(bool), 2) == 2
+    assert gfq_rank(mat.astype(np.int64) * 2, 3) == 2
+
+
 def test_field_spec_validation():
     with pytest.raises(ValueError, match="monic"):
         Field(FieldSpec(2, 3, (1, 1, 0, 0), None))

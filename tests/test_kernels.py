@@ -9,7 +9,7 @@ from rankloc import _kernels
 from rankloc.gf import base_tables, gfq_matmul, gfq_rank, gfq_rank_batch, gfq_row_reduce
 from rankloc.rng import SplitMix64
 
-from helpers import naive_matmul, naive_rank, rand_matrix
+from helpers import masked_xor_reduce, naive_matmul, naive_rank, rand_matrix
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -83,6 +83,30 @@ def test_gf2_xor_row_reduce_matches_table_path(rows, cols):
             assert xor_piv.tolist() == table_piv.tolist()
             if n_pivot == cols:
                 assert len(xor_piv) == naive_rank(mat, 2)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(0, 0), (0, 5), (5, 0), (1, 1), (6, 1), (9, 63), (40, 64), (30, 65), (70, 64), (20, 130), (140, 200)],
+)
+def test_bitset_reduce_matches_masked_xor(rows, cols):
+    # rows held as int bitsets against the whole-matrix masked XOR they
+    # replaced: the same reduced matrix, pivots and dtypes, pivots searched
+    # in every column or in a prefix, on zero and rank <= 2 matrices too;
+    # widths 63, 64 and 65 straddle a word and 130 and 200 several
+    t = base_tables(2)
+    mats = _gf2_stack(rows * 1000 + cols, 6, rows, cols)
+    for mat in [*mats, mats[3].T]:
+        width = mat.shape[1]
+        for n_pivot in sorted({0, width // 3, width}):
+            got, got_piv = _kernels.row_reduce(mat, t.sub, t.mul, t.inv, n_pivot)
+            want, want_piv = masked_xor_reduce(mat, n_pivot)
+            assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got_piv.dtype == want_piv.dtype and got_piv.tolist() == want_piv.tolist()
+        rank = _kernels.rank(mat, t.sub, t.mul, t.inv)
+        assert rank == len(masked_xor_reduce(mat, width)[1])
+    assert _kernels.rank(mats[0], t.sub, t.mul, t.inv) == 0
 
 
 def test_rank_batch_matches_scalar():

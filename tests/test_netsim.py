@@ -21,7 +21,7 @@ from rankloc.netsim import (
 from rankloc.rng import SplitMix64, mix64
 from rankloc.subspace import Subspace, lift_codes, pack_rows, subspace_distance
 
-from helpers import lifted_subspace
+from helpers import lifted_subspace, map_form_solve
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +330,42 @@ def test_solve_agrees_with_enumeration():
         rep = run_trials(code, j, cfg, 40)
         assert rep.successes == successes and rep.enumerated == nones
     assert min(seen.values()) > 0, seen
+
+
+def test_solve_download_matches_map_form_on_noisy_channels(tiny_code, example2_code, monkeypatch):
+    # seeded channel outputs with one injected error packet allowed, on the
+    # reference code's rack 2 and on the tiny code with one packet collected
+    # and every packet erasable (a zero row ties): the download's decision
+    # (a rack matrix, a tie or no candidate) is the same with gfq_solve
+    # swapped for the solve map
+    def decisions():
+        out = []
+        for code, j, cfg in cases:
+            p = code.params
+            local_gen = code.local_code(j).generator_gfq()
+            root = SplitMix64(cfg.seed)
+            for trial in range(150):
+                rng = root.spawn(trial)
+                message = [rng.randbelow(code.field.order) for _ in range(p.k)]
+                x = transmit_matrix(code, code.encode_matrix(message), j)
+                y = channel_apply(x, cfg, rng, p.q).received
+                try:
+                    got = solve_download(local_gen, p.n, code.rack_columns(j), y, p.q)
+                except AmbiguousErasureError:
+                    out.append("tie")
+                else:
+                    out.append("none" if got is None else got.tolist())
+        return out
+
+    cases = [
+        (example2_code, 2, ChannelConfig(3, 3, 1, 1, 6, seed=11)),
+        (tiny_code, 1, ChannelConfig(2, 1, 2, 1, 4, seed=12)),
+    ]
+    solved = decisions()
+    monkeypatch.setattr(netsim, "gfq_solve", map_form_solve)
+    assert decisions() == solved
+    kinds = {d if isinstance(d, str) else "unique" for d in solved}
+    assert kinds == {"none", "tie", "unique"}
 
 
 def test_reference_downloads_never_enumerate(example2_code, monkeypatch):
