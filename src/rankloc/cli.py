@@ -147,6 +147,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
     spec, code = _load(args)
     p = code.params
     f = code.field
@@ -281,7 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = add("verify", cmd_verify, help="distance and locality report")
     ver.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    ver.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    ver.add_argument(
+        "--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+        help="most codewords one exhaustive scan may enumerate: exact mode refuses a"
+        " larger code, and a block whose local code is larger pairs random messages",
+    )
     ver.add_argument(
         "--samples", type=int, default=10_000,
         help="sampled mode: random nonzero codewords ranked for each distance estimate"
@@ -305,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--links", type=int, default=8)
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    sim.add_argument(
+        "--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+        help="most local codewords the enumeration may rank for trials the solve"
+        " cannot answer; a larger local code is refused up front",
+    )
 
     return parser
 

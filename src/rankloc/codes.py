@@ -342,13 +342,13 @@ def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> L
 
     The points must be linearly independent over GF(q).  The coefficients
     are then the message of the Gabidulin code of dimension len(points) on
-    them whose codeword is ``values``: one ``gfq_solve`` against its GF(q)
-    generator, with identity columns appended as the wanted cells, so that
-    the solve returns the message's coordinates.
+    them whose codeword is ``values``: one ``gfq_solve`` of that code's
+    GF(q) generator against the values returns the message's coordinates.
 
     Raises:
-        ValueError: if the system is singular ("Moore matrix singular"),
-            which for admissible inputs means dependent points.
+        ValueError: "Moore matrix singular" when the Gabidulin code refuses
+            the points: dependent ones (more than m of them included) or
+            ones outside the field; the refusal is the exception's cause.
     """
     pts = list(points)
     vals = list(values)
@@ -357,17 +357,13 @@ def interpolate(field: Field, points: Sequence[int], values: Sequence[int]) -> L
     n = len(pts)
     if n == 0:
         return LinearizedPoly.zero(field)
-    # more points than m are dependent too
-    if field.span_rank(pts) < n:
-        raise ValueError("Moore matrix singular")
-    gen = GabidulinCode(field, pts, n).generator_gfq()
-    size, m = len(gen), field.m
-    known = np.arange(size)
+    try:
+        gen = GabidulinCode(field, pts, n).generator_gfq()
+    except ValueError as exc:
+        raise ValueError("Moore matrix singular") from exc
     flat = field.to_matrix(vals).flatten(order="F")
-    u = gfq_solve(
-        np.hstack([gen, np.eye(size, dtype=np.uint8)]), known, flat[None], size + known, field.q
-    )[0]
-    return LinearizedPoly(field, {i: field.from_digits(u[i * m : (i + 1) * m]) for i in range(n)})
+    u = gfq_solve(gen, flat[None], field.q)[0]
+    return LinearizedPoly(field, dict(enumerate(map(field.from_digits, u.reshape(n, -1)))))
 
 
 class LocalRankCode(_EvaluationCode):
@@ -389,35 +385,12 @@ class LocalRankCode(_EvaluationCode):
         # crisscross erasure plans by mask bytes, least recently used first
         self._erasure_plans: OrderedDict[bytes, object] = OrderedDict()
 
-    @property
-    def q(self) -> int:
-        return self.params.q
-
-    @property
-    def m(self) -> int:
-        return self.params.m
-
-    @property
-    def r(self) -> int:
-        return self.params.r
-
-    @property
-    def delta(self) -> int:
-        return self.params.delta
-
-    @property
-    def s(self) -> int:
-        return self.params.s
-
-    @property
-    def mu(self) -> int:
-        return self.params.mu
-
     def rack_columns(self, j: int) -> range:
         """Column block of rack j (racks are numbered 1..mu)."""
-        if not 1 <= j <= self.mu:
+        p = self.params
+        if not 1 <= j <= p.mu:
             raise ValueError("rack index out of range")
-        return range((j - 1) * self.s, j * self.s)
+        return range((j - 1) * p.s, j * p.s)
 
     def rack_points(self, j: int) -> tuple[int, ...]:
         cols = self.rack_columns(j)
@@ -426,7 +399,7 @@ class LocalRankCode(_EvaluationCode):
     def local_code(self, j: int) -> GabidulinCode:
         """The (r+delta-1, r) Gabidulin code living on rack j's columns (cached)."""
         if j not in self._local_codes:
-            self._local_codes[j] = GabidulinCode(self.field, self.rack_points(j), self.r)
+            self._local_codes[j] = GabidulinCode(self.field, self.rack_points(j), self.params.r)
         return self._local_codes[j]
 
     def __repr__(self) -> str:
@@ -446,7 +419,6 @@ def build_code(
     delta: int,
     *,
     field: Field | None = None,
-    g: int | None = None,
     basis_a: Sequence[int] | None = None,
     basis_b: Sequence[int] | None = None,
 ) -> LocalRankCode:
@@ -456,7 +428,7 @@ def build_code(
     ``tower_build``).
     """
     params = CodeParams(q, m, n, k, r, delta)
-    tower = tower_build(q, m, n, params.s, field=field, g=g, basis_a=basis_a, basis_b=basis_b)
+    tower = tower_build(q, m, n, params.s, field=field, basis_a=basis_a, basis_b=basis_b)
     return LocalRankCode(params, tower)
 
 

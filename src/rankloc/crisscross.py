@@ -155,11 +155,12 @@ def locally_correctable(
     """Whether rack j's restricted pattern is within its local guarantee:
     twice the restricted error rank plus the restricted erasure weight
     must fit under delta."""
-    mask, err = validate_patterns(erasures, errors, code.q)
+    p = code.params
+    mask, err = validate_patterns(erasures, errors, p.q)
     cols = list(code.rack_columns(j))
     weight, _ = crisscross_weight(mask[:, cols])
-    erank = gfq_rank(err[:, cols], code.q)
-    return 2 * erank + weight <= code.delta - 1
+    erank = gfq_rank(err[:, cols], p.q)
+    return 2 * erank + weight <= p.delta - 1
 
 
 @dataclass(frozen=True)
@@ -183,25 +184,23 @@ def correctable(
     code: LocalRankCode,
     erasures: np.ndarray,
     errors: np.ndarray | None = None,
-    d: int | None = None,
 ) -> CorrectionReport:
     """Sufficient-condition classifier for a combined erasure/error pattern.
 
     Racks within their local guarantee are discounted, and the remaining
     weight (twice the error rank plus the erasure cover weight, minus the
-    discounted racks' shares) must fit under the code distance ``d``
-    (default: the locality Singleton-like bound).  Patterns failing this
-    may still decode; the predicate is one-sided.  Note the discounting
-    can undercount the true residual when a discounted rack's cover rows
-    also serve other racks, so the decoder, not this report, is the final
-    word on a specific pattern.
+    discounted racks' shares) must fit under the code distance d, taken as
+    the locality Singleton-like bound ``rank_distance_bound``.  Patterns
+    failing this may still decode; the predicate is one-sided.  Note the
+    discounting can undercount the true residual when a discounted rack's
+    cover rows also serve other racks, so the decoder, not this report, is
+    the final word on a specific pattern.
     """
     p = code.params
     mask, err = validate_patterns(erasures, errors, p.q)
     if mask.shape != (p.m, p.n):
         raise ValueError("pattern shape mismatch")
-    if d is None:
-        d = rank_distance_bound(p.n, p.k, p.r, p.delta)
+    d = rank_distance_bound(p.n, p.k, p.r, p.delta)
     total = 2 * gfq_rank(err, p.q) + crisscross_weight(mask)[0]
     discounted = total
     local, residual = [], []

@@ -274,14 +274,14 @@ class FieldSpec:
     primitive_power_of_generator: int | None = None
 
     @staticmethod
-    def default(q: int, m: int, *, primitive: bool = True) -> "FieldSpec":
-        ppg = 1 if primitive else None
+    def default(q: int, m: int) -> "FieldSpec":
+        """A primitive modulus (tabled for q = 2, else searched); w = x."""
         if q == 2:
             if m not in _BINARY_MODULI:
                 raise ValueError("fields with m > 16 unsupported")
-            return FieldSpec(2, m, _BINARY_MODULI[m], ppg)
+            return FieldSpec(2, m, _BINARY_MODULI[m], 1)
         _check_order(q, m)
-        return FieldSpec(q, m, _search_modulus(q, m, primitive=primitive), ppg)
+        return FieldSpec(q, m, _search_modulus(q, m, primitive=True), 1)
 
 
 def _search_modulus(q: int, m: int, *, primitive: bool) -> tuple[int, ...]:
@@ -775,33 +775,26 @@ def _parity_solve(
     return prod[:, rank:], repair
 
 
-def gfq_solve(
-    gen: np.ndarray,
-    known_idx: np.ndarray,
-    vals: np.ndarray,
-    wanted_idx: np.ndarray,
-    q: int,
-) -> np.ndarray:
-    """Solve u @ gen[:, known] = vals for each batch row; return u @ gen[:, wanted].
+def gfq_solve(a: np.ndarray, vals: np.ndarray, q: int) -> np.ndarray:
+    """Solve u @ a = vals for each batch row; return u.
 
-    One reduction of [gen_K^T | vals^T] (``_left_reduce``): the rows past
-    the rank are the consistency checks of every batch row at once, and
-    at full rank the rows above it are u^T, so one product u @ gen_W
-    gives the wanted cells.  A system over GF(q^m) is solved here with
-    each unknown expanded into its m coordinates, as ``generator_gfq``
-    lays a code out.
+    One reduction of [a^T | vals^T] (``_left_reduce``): the rows past the
+    rank are the consistency checks of every batch row at once, and at
+    full rank the rows above it are u^T.  A system over GF(q^m) is solved
+    here with each unknown expanded into its m coordinates, as
+    ``generator_gfq`` lays a code out.
 
     Raises ValueError for inconsistent data and AmbiguousErasureError when
-    the known cells do not pin u down (equivalently, a nonzero codeword
-    vanishes on them), in that order.
+    the rows of ``a`` are dependent (for a generator restricted to known
+    cells: a nonzero codeword vanishes on them), in that order.
     """
-    dim = gen.shape[0]
-    solved, rank = _left_reduce(gen[:, known_idx].T, q, np.asarray(vals, dtype=np.uint8).T)
+    dim = a.shape[0]
+    solved, rank = _left_reduce(a.T, q, np.asarray(vals, dtype=np.uint8).T)
     if solved[rank:].any():
         raise ValueError("not a codeword restriction")
     if rank < dim:
         raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    return gfq_matmul(np.ascontiguousarray(solved[:dim].T), gen[:, wanted_idx], q)
+    return np.ascontiguousarray(solved[:dim].T)
 
 
 def gfq_parity_checks(gen: np.ndarray, q: int) -> np.ndarray:
@@ -852,18 +845,18 @@ def tower_build(
     s: int,
     *,
     field: Field | None = None,
-    g: int | None = None,
     basis_a: Sequence[int] | None = None,
     basis_b: Sequence[int] | None = None,
 ) -> FieldTower:
     """Build the evaluation tower, searching default bases when not pinned.
 
-    Defaults: g = w^((q^m-1)/(q^s-1)); basis_a = (g^0, ..., g^(s-1));
-    basis_b = powers (gamma^0, ..., gamma^(mu-1)) of the first power of w
-    lying in GF(q^n), starting from w^0 = 1, whose powers pass the product
-    rank-n check (gamma = 1 passes only when mu = 1).
-    Explicit overrides are validated against the same invariants.  The
-    field is ``field`` when given, else built from ``FieldSpec.default``.
+    g = w^((q^m-1)/(q^s-1)) generates GF(q^s)^*, w being primitive.
+    Defaults: basis_a = (g^0, ..., g^(s-1)); basis_b = powers (gamma^0,
+    ..., gamma^(mu-1)) of the first power of w lying in GF(q^n), starting
+    from w^0 = 1, whose powers pass the product rank-n check (gamma = 1
+    passes only when mu = 1).  Explicit overrides are validated against
+    the same invariants.  The field is ``field`` when given, else built
+    from ``FieldSpec.default``.
     """
     if n % s != 0 or m % n != 0:
         raise ValueError("parameter divisibility violated")
@@ -874,11 +867,7 @@ def tower_build(
     if field.omega is None:
         raise ValueError("tower construction needs a designated primitive element")
     mu = n // s
-
-    if g is None:
-        g = field.omega_pow((field.order - 1) // (q**s - 1))
-    if field.element_order(g) != q**s - 1:
-        raise ValueError("subfield generator has wrong order")
+    g = field.omega_pow((field.order - 1) // (q**s - 1))
 
     if basis_a is None:
         basis_a = tuple(field.pow(g, i) for i in range(s))

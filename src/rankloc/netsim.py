@@ -189,10 +189,11 @@ def solve_download(
     A received row [h | y] lies in the lift of local codeword C = u G exactly
     when h vanishes off the rack's columns ``cols`` and y = u (sum_i h_i G_i),
     with G_i the column blocks of the local generator ``local_gen``
-    (``generator_gfq`` layout).  Every lifted candidate is s-dimensional, so
-    the candidates containing row(Y) are at distance s - rank Y and every
-    other one is at least 2 further: a unique solution is the unique nearest
-    candidate (returned as its m x s matrix) and several solutions are a tie
+    (``generator_gfq`` layout), so ``gfq_solve`` finds u from the received
+    digits y.  Every lifted candidate is s-dimensional, so the candidates
+    containing row(Y) are at distance s - rank Y and every other one is at
+    least 2 further: a unique solution is the unique nearest candidate
+    (returned as the m x s matrix of u G) and several solutions are a tie
     (AmbiguousErasureError).  None means no candidate contains row(Y), which
     takes an injected error packet; then only enumeration finds the nearest.
     """
@@ -207,15 +208,11 @@ def solve_download(
     blocks = local_gen.reshape(dim, s, m).transpose(1, 0, 2).reshape(s, dim * m)
     mixed = gfq_matmul(np.ascontiguousarray(header[:, cols.start : cols.stop]), blocks, q)
     mixed = mixed.reshape(len(y), dim, m).transpose(1, 0, 2).reshape(dim, len(y) * m)
-    known = np.arange(len(y) * m)
     try:
-        word = gfq_solve(
-            np.hstack([mixed, local_gen]), known, y[:, n:].reshape(1, -1),
-            known.size + np.arange(width), q,
-        )
+        u = gfq_solve(mixed, y[:, n:].reshape(1, -1), q)
     except ValueError:  # inconsistent: no candidate contains row(Y)
         return None
-    return word.reshape(s, m).T
+    return gfq_matmul(u, local_gen, q).reshape(s, m).T
 
 
 @dataclass(frozen=True)
@@ -264,6 +261,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    if budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {budget}")
     p = code.params
     if config.packets_per_rack != p.s:
         raise ValueError("config packet count mismatch")

@@ -28,6 +28,10 @@ from .codes import (
 from .gf import gfq_rank, gfq_rank_codes, gfq_row_reduce
 from .rng import SplitMix64
 
+_CROSS_CHECK_PAIRS = 64  # pairs ``min_subspace_distance`` checks, from SplitMix64(0)
+_EXACT_PAIRS = 200_000   # most pairs a block's exhaustive scan compares
+_SAMPLED_PAIRS = 2000    # seeded pairs a block compares past that or the budget
+
 
 def rcef(mat: np.ndarray, q: int = 2) -> np.ndarray:
     """Reduced column echelon form with dependent columns dropped.
@@ -140,18 +144,14 @@ def _lifted_distances(
     return 2 * gfq_rank_codes(stacked, q, n + m) - 2 * len(cols)
 
 
-def min_subspace_distance(
-    code: _EvaluationCode,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-    cross_check_pairs: int = 64,
-    seed: int = 0,
-) -> int:
+def min_subspace_distance(code: _EvaluationCode, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """Minimum subspace distance of the lifting of every codeword of ``code``.
 
     Primary route: twice the code's minimum rank distance (linearity).
-    Cross-checks, never collapsed into the primary route: sampled pairs
-    must satisfy the per-pair identity d_S = 2 d_R, and the pairwise
-    distances from the all-zero codeword must reproduce the minimum.
+    Cross-checks, never collapsed into the primary route:
+    ``_CROSS_CHECK_PAIRS`` sampled pairs must satisfy the per-pair identity
+    d_S = 2 d_R, and the pairwise distances from the all-zero codeword must
+    reproduce the minimum.
     """
     if code.codeword_count < 2:
         raise ValueError("degenerate")
@@ -160,7 +160,7 @@ def min_subspace_distance(
     f = code.field
     codes = code.codeword_codes(budget)
     n = code.n
-    i, j = _sample_pairs(SplitMix64(seed), len(codes), cross_check_pairs)
+    i, j = _sample_pairs(SplitMix64(0), len(codes), _CROSS_CHECK_PAIRS)
     ds = _lifted_distances(codes[i], codes[j], n, range(n), f.q, f.m)
     dr = gfq_rank_codes(f.sub_vec(codes[i], codes[j]), f.q, f.m)
     if (ds != 2 * dr).any():
@@ -222,11 +222,7 @@ class LocalityReport:
 
 
 def verify_subspace_locality(
-    code: LocalRankCode,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-    max_pairs: int = 200_000,
-    sample_pairs: int = 2000,
-    seed: int = 0,
+    code: LocalRankCode, budget: int = DEFAULT_ORACLE_BUDGET, seed: int = 0
 ) -> LocalityReport:
     """Check that lifting kept ``code``'s locality, block by block.
 
@@ -235,11 +231,13 @@ def verify_subspace_locality(
     family's minimum subspace distance reaches twice the source's local
     distance guarantee; every projected codeword keeps full dimension by
     construction.  The distance scan is exhaustive over the block's local
-    code when it has at most ``budget`` codewords and ``max_pairs`` pairs.
-    Otherwise it compares ``sample_pairs`` seeded pairs and the report says
-    so: pairs of local codewords when the code is within budget, built
-    from their message indices, and otherwise pairs among ``sample_pairs``
-    random messages.  Only the compared words are encoded and lifted.
+    code when it has at most ``budget`` codewords and ``_EXACT_PAIRS``
+    pairs.  Otherwise it compares ``_SAMPLED_PAIRS`` pairs seeded by
+    ``seed`` and the report says so: pairs of local codewords when the
+    code is within budget, built from their message indices, and otherwise
+    pairs among ``_SAMPLED_PAIRS`` random messages, where a pair that drew
+    the same message twice is left out.  Only the compared words are
+    encoded and lifted.
     """
     if not isinstance(code, LocalRankCode):
         raise TypeError("locality verification needs a column-block local code")
@@ -247,29 +245,30 @@ def verify_subspace_locality(
     blocks = []
     for j in range(1, p.mu + 1):
         cols = code.rack_columns(j)
-        width = cols.stop - cols.start
-        size_ok = width <= p.r + p.delta - 1
+        size_ok = len(cols) <= p.s
         local = code.local_code(j)
         count = local.codeword_count
         # the projection of a lifted basis onto the block is the block's
         # local codeword under distinct unit vectors of GF(q)^n, one per
         # column, so it always keeps the full dimension: dim_ok holds by
         # construction and is not recomputed
-        exact = count <= budget and count * (count - 1) // 2 <= max_pairs
+        exact = count <= budget and count * (count - 1) // 2 <= _EXACT_PAIRS
         if exact:
             codes = local.codeword_codes(budget)
             left, right = (codes[idx] for idx in np.triu_indices(count, 1))
         else:
             if count <= budget:
                 # index i stands for local codeword i of the enumeration
-                i, i2 = _sample_pairs(SplitMix64(seed + j), count, sample_pairs)
+                i, i2 = _sample_pairs(SplitMix64(seed + j), count, _SAMPLED_PAIRS)
                 pair_msgs = local.messages_at(i), local.messages_at(i2)
             else:
                 rng = SplitMix64(seed * 7919 + j)
-                drawn = rng.randbelow_array(np.full(sample_pairs * local.k, code.field.order))
-                pool = drawn.astype(np.int64).reshape(sample_pairs, local.k)
-                i, i2 = _sample_pairs(SplitMix64(seed + j), sample_pairs, sample_pairs)
-                pair_msgs = pool[i], pool[i2]
+                drawn = rng.randbelow_array(np.full(_SAMPLED_PAIRS * local.k, code.field.order))
+                pool = drawn.astype(np.int64).reshape(_SAMPLED_PAIRS, local.k)
+                i, i2 = _sample_pairs(SplitMix64(seed + j), _SAMPLED_PAIRS, _SAMPLED_PAIRS)
+                # distinct indices can still hold equal messages, at distance 0
+                distinct = (pool[i] != pool[i2]).any(axis=1)
+                pair_msgs = pool[i[distinct]], pool[i2[distinct]]
             left, right = (local.encode_batch(msgs) for msgs in pair_msgs)
         dist = int(_lifted_distances(left, right, p.n, cols, p.q, p.m).min())
         blocks.append(

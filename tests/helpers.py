@@ -106,15 +106,18 @@ def pattern_solve(gen, known_idx, wanted_idx, q):
     return checks, gf.gfq_matmul(np.ascontiguousarray(solve[:dim].T), gen[:, wanted_idx], q)
 
 
-def map_form_solve(gen, known_idx, vals, wanted_idx, q):
-    """``gf.gfq_solve`` through the solve map: vals @ [checks | repair] in
-    one product, refusing as the solver does and in its order."""
-    checks, repair = pattern_solve(gen, known_idx, wanted_idx, q)
+def map_form_solve(a, vals, q):
+    """``gf.gfq_solve`` through the solve map: with T from
+    ``gf._left_reduce(a^T)``, vals @ [checks | T[:dim]^T] in one product,
+    checks = T[rank:]^T, refusing as the solver does and in its order."""
+    dim = a.shape[0]
+    solve, rank = gf._left_reduce(a.T, q)
+    checks = np.ascontiguousarray(solve[rank:].T)
     width = checks.shape[1]
-    out = gf.gfq_matmul(vals, checks if repair is None else np.hstack([checks, repair]), q)
+    out = gf.gfq_matmul(vals, np.hstack([checks, solve[:dim].T]), q)
     if out[:, :width].any():
         raise ValueError("not a codeword restriction")
-    if repair is None:
+    if rank < dim:
         raise gf.AmbiguousErasureError("erasure pattern exceeds guarantee")
     return out[:, width:]
 
@@ -222,7 +225,8 @@ def is_codeword(code, word):
     """Membership by the generator's rank, not by the code's parity checks."""
     gen = code.generator_gfq()
     flat = np.asarray(word, dtype=np.uint8).flatten(order="F")
-    return gf.gfq_rank(np.vstack([gen, flat]), code.q) == gf.gfq_rank(gen, code.q)
+    q = code.field.q
+    return gf.gfq_rank(np.vstack([gen, flat]), q) == gf.gfq_rank(gen, q)
 
 
 def subfield_elements(field, s):
@@ -271,14 +275,16 @@ def staged_decode_oracle(code, received, erasures):
             continue
         gen = code.local_code(j).generator_gfq()
         known, wanted = np.nonzero(~rack_mask)[0], np.nonzero(rack_mask)[0]
-        vals = flat[:, rack_idx[known]]
-        flat[:, rack_idx[wanted]] = gf.gfq_solve(gen, known, vals, wanted, p.q)
+        u = gf.gfq_solve(gen[:, known], flat[:, rack_idx[known]], p.q)
+        flat[:, rack_idx[wanted]] = gf.gfq_matmul(u, gen[:, wanted], p.q)
         pending[rack_idx] = False
         local_racks.append(j)
     used_global = bool(pending.any())
     if used_global:
         known, wanted = np.nonzero(~pending)[0], np.nonzero(pending)[0]
-        flat[:, wanted] = gf.gfq_solve(code.generator_gfq(), known, flat[:, known], wanted, p.q)
+        gen = code.generator_gfq()
+        u = gf.gfq_solve(gen[:, known], flat[:, known], p.q)
+        flat[:, wanted] = gf.gfq_matmul(u, gen[:, wanted], p.q)
     elif gf.gfq_matmul(flat, code.parity_checks(), p.q).any():
         raise ValueError("decoded word is not a codeword")
     out = flat.reshape(received.shape[0], p.n, m).transpose(0, 2, 1)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from rankloc import subspace
 from rankloc.codes import (
     CodeParams,
     LocalRankCode,
@@ -49,7 +50,6 @@ def build_reference_code() -> LocalRankCode:
     tower = tower_build(
         2, 9, 9, 3,
         field=f,
-        g=f.omega_pow(73),
         basis_a=[f.one, f.omega_pow(73), f.omega_pow(146)],
         basis_b=[f.one, f.omega_pow(309), f.omega_pow(107)],
     )
@@ -207,10 +207,12 @@ def test_criterion_5_rank1_error_oracle():
     print(f"\ncriterion 5: 1000/1000 rank-1 errors corrected ({elapsed:.1f}s)")
 
 
-def test_criterion_6_lifted_distances_and_locality():
+def test_criterion_6_lifted_distances_and_locality(monkeypatch):
     start = time.perf_counter()
     code = build_code(2, 6, 6, 2, 1, 2)
-    d_s = min_subspace_distance(code, cross_check_pairs=10_000, seed=6)
+    # 10000 pairs, not the routine 64, for the per-pair identity d_S = 2 d_R
+    monkeypatch.setattr(subspace, "_CROSS_CHECK_PAIRS", 10_000)
+    d_s = min_subspace_distance(code)
     assert d_s == 8
     assert d_s == 2 * min_rank_distance(code)
 

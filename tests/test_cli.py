@@ -359,7 +359,7 @@ def test_verify_reference_sampled(ws, capsys):
 
 @pytest.mark.parametrize("mode, seed", [("sampled", "7"), ("exact", "5")])
 def test_verify_seeds_the_locality_check(ws, capsys, monkeypatch, mode, seed):
-    # --seed reaches the block-locality scan; its pair count stays the default
+    # --seed reaches the block-locality scan
     from rankloc import cli
 
     calls = []
@@ -375,7 +375,24 @@ def test_verify_seeds_the_locality_check(ws, capsys, monkeypatch, mode, seed):
         capsys, "verify", "--spec", spec, "--mode", mode, "--samples", "300", "--seed", seed,
     )
     assert code == 0
-    assert [c["seed"] for c in calls] == [int(seed)] and "sample_pairs" not in calls[0]
+    assert [c["seed"] for c in calls] == [int(seed)]
+
+
+def test_verify_sampled_over_budget_pairs_distinct_messages(ws, capsys):
+    # past --budget the block lines pair random messages; the tiny code's
+    # 64 local messages repeat among them, and a repeated one must not
+    # count as a pair at distance 0
+    code, out, _ = run(
+        capsys, "verify", "--spec", ws / "tiny.spec", "--mode", "sampled", "--budget", "10",
+    )
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        f"block_{j}: size_ok=True dim_ok=True projected_d=4 required=4 exact=False"
+        for j in (1, 2, 3)
+    ] + [
+        "d<=4 (sampled), local d=2 (sampled), lifted d_S<=8, subspace-locality (1,4):"
+        " PASS (sampled)"
+    ]
 
 
 def test_verify_sampled_ranks_codes_without_unpacking(ws, capsys, monkeypatch):
@@ -643,6 +660,36 @@ def test_verify_refuses_samples_below_one(ws, capsys, samples):
     assert code == 3
     assert out == "d_bound=5\ngood_poly_per_rack=1,w^119,w^238\n"
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_refuses_budget_below_one(ws, capsys, mode, budget):
+    code, out, err = run(
+        capsys, "verify", "--spec", ws / "tiny.spec", "--mode", mode, "--budget", budget,
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: --budget must be at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_simulate_refuses_budget_below_one(ws, capsys, budget):
+    code, out, err = run(
+        capsys, "simulate", "--spec", ws / "tiny.spec", "--rack", "1", "--collect", "3",
+        "--budget", budget,
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: --budget must be at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_outside_64_bits_refused(ws, capsys, command, seed):
+    # verify refuses as simulate does, instead of reducing the seed mod 2^64
+    argv = ("--mode", "sampled") if command == "verify" else ("--rack", "1", "--collect", "3")
+    code, out, err = run(capsys, command, "--spec", ws / "tiny.spec", *argv, "--seed", seed)
+    assert (code, out) == (3, "")
+    assert err == "error: seed must fit in 64 bits\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

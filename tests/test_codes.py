@@ -98,7 +98,7 @@ def test_reference_good_poly_constant_per_rack(example2_code):
     # x^(q^s - 1) collapses each rack to a single value: 1, w^119, w^238.
     code = example2_code
     f = code.field
-    e = f.q**code.s - 1
+    e = f.q**code.params.s - 1
     values = []
     for j in (1, 2, 3):
         per_rack = {f.pow(p, e) for p in code.rack_points(j)}
@@ -131,20 +131,21 @@ def test_repair_poly_matches_encoding_on_rack(example2_code):
     for _ in range(100):
         msg = rand_nonzero_message(rng, code.field, code.k)
         cw = code.encode(msg)
-        j = 1 + rng.randbelow(code.mu)
+        j = 1 + rng.randbelow(code.params.mu)
         local = repair_poly(code, msg, j)
-        assert local.q_degree <= code.r - 1
+        assert local.q_degree <= code.params.r - 1
         cols = code.rack_columns(j)
         assert local.evaluate_many(code.rack_points(j)) == cw[cols.start : cols.stop]
 
 
 def test_local_code_is_full_length_restriction(example2_code, tiny_code):
     for code in (example2_code, tiny_code):
+        p = code.params
         rng = SplitMix64(311)
-        for j in range(1, code.mu + 1):
+        for j in range(1, p.mu + 1):
             local = code.local_code(j)
             assert isinstance(local, GabidulinCode)
-            assert local.n == code.s and local.k == code.r
+            assert local.n == p.s and local.k == p.r
             for _ in range(20):
                 msg = rand_nonzero_message(rng, code.field, code.k)
                 cw = code.encode(msg)
@@ -152,7 +153,7 @@ def test_local_code_is_full_length_restriction(example2_code, tiny_code):
                 # the restriction is the local encoding of the repair
                 # polynomial's coefficient vector
                 rp = repair_poly(code, msg, j)
-                local_msg = [rp.coeffs.get(i, 0) for i in range(code.r)]
+                local_msg = [rp.coeffs.get(i, 0) for i in range(p.r)]
                 assert local.encode(local_msg) == cw[cols.start : cols.stop]
 
 
@@ -355,7 +356,8 @@ def test_build_code_rejects_bad_shapes():
 def test_build_code_default_tower_tiny(tiny_code):
     code = tiny_code
     assert isinstance(code, LocalRankCode)
-    assert (code.q, code.m, code.r, code.delta) == (2, 6, 1, 2)
-    assert code.s == 2 and code.mu == 3
+    p = code.params
+    assert (p.q, p.m, p.r, p.delta) == (2, 6, 1, 2)
+    assert p.s == 2 and p.mu == 3
     assert code.exponents == (0, 2)
     assert gfq_rank(code.field.to_matrix(code.eval_points), 2) == 6

@@ -303,7 +303,8 @@ def test_flip_in_rack_with_r_survivors_is_caught_by_parity_check(
         flat = received[7][:, cols].flatten(order="F")
         gen = code.local_code(j).generator_gfq()
         assert len(known) == gen.shape[0] == p.r * p.m
-        repaired = gfq_solve(gen, known, flat[None, known], wanted, p.q)[0]
+        u = gfq_solve(gen[:, known], flat[None, known], p.q)
+        repaired = gf.gfq_matmul(u, gen[:, wanted], p.q)[0]
         assert (repaired != words[7][:, cols].flatten(order="F")[wanted]).any()
         with pytest.raises(ValueError, match="decoded word is not a codeword"):
             decode_erasures(code, received[7], mask)
@@ -703,18 +704,18 @@ def _table_product(a, b, q):
     return out
 
 
-def _solve_known_per_word(gen, known_idx, vals, wanted_idx, q):
-    # the reference for the pattern solve: reduce [gen_K^T | vals^T], one
-    # augmented column per word, and check and read off in the same order
-    dim = gen.shape[0]
-    aug = np.hstack([gen[:, known_idx].T, vals.T]).astype(np.uint8)
+def _solve_known_per_word(a, vals, q):
+    # the reference for the solve: reduce [a^T | vals^T], one augmented
+    # column per word, and check and read off in the same order
+    dim = a.shape[0]
+    aug = np.hstack([a.T, vals.T]).astype(np.uint8)
     reduced, pivots = gfq_row_reduce(aug, q, n_pivot_cols=dim)
     rank = len(pivots)
     if reduced[rank:, dim:].any():
         raise ValueError("not a codeword restriction")
     if rank < dim:
         raise AmbiguousErasureError("erasure pattern exceeds guarantee")
-    return _table_product(reduced[:dim, dim:].T, gen[:, wanted_idx], q)
+    return reduced[:dim, dim:].T
 
 
 def _solve_outcome(solve, *args):
@@ -744,7 +745,6 @@ def test_solve_known_matches_per_word_elimination(q):
             known = np.array([0, 1])  # rank at most 1 < dim
         else:
             known = np.sort(gen_rng.permutation(cells)[: int(gen_rng.integers(1, cells + 1))])
-        wanted = np.setdiff1d(np.arange(cells), known)
         batch = (0, 1, 2048)[case % 3]
         msgs = gen_rng.integers(0, q, size=(batch, dim), dtype=np.uint8)
         vals = _table_product(msgs, gen[:, known], q)
@@ -753,10 +753,10 @@ def test_solve_known_matches_per_word_elimination(q):
             vals[-1, -1] = (vals[-1, -1] + 1) % q
         elif mode == 2:
             vals = gen_rng.integers(0, q, size=vals.shape, dtype=np.uint8)
-        old = _solve_outcome(_solve_known_per_word, gen, known, vals, wanted, q)
-        new = _solve_outcome(gfq_solve, gen, known, vals, wanted, q)
+        old = _solve_outcome(_solve_known_per_word, gen[:, known], vals, q)
+        new = _solve_outcome(gfq_solve, gen[:, known], vals, q)
         assert new == old, (case, dim, known.tolist(), batch, mode)
-        assert _solve_outcome(map_form_solve, gen, known, vals, wanted, q) == old
+        assert _solve_outcome(map_form_solve, gen[:, known], vals, q) == old
         seen.add((batch, old if isinstance(old, str) else "solved"))
     # every batch size meets every outcome, except that no word of an
     # empty batch can be inconsistent
@@ -769,19 +769,18 @@ def test_solve_known_checks_consistency_before_ambiguity():
     # and one known column cannot pin a 3-dimensional message: the
     # inconsistency is reported, as the per-word elimination did
     gen = np.array([[1, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.uint8)
-    known, wanted = np.array([0, 1]), np.array([2, 3])
     vals = np.array([[0, 0], [1, 0]], dtype=np.uint8)
     for solve in (_solve_known_per_word, gfq_solve):
         with pytest.raises(ValueError, match="not a codeword restriction"):
-            solve(gen, known, vals, wanted, 2)
+            solve(gen[:, :2], vals, 2)
         with pytest.raises(AmbiguousErasureError):
-            solve(gen, known, vals[:1], wanted, 2)
+            solve(gen[:, :2], vals[:1], 2)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_gfq_solve_matches_map_form(q):
     # the one reduction of [G_K^T | vals^T] against the explicit solve map
-    # [checks | repair] of the generator side, class by class: columns 0
+    # [checks | T[:dim]^T] of G_K^T, class by class: columns 0
     # and 1 of the generator are equal, so values that differ there are
     # inconsistent, and K = {0, 1, 2} cannot pin a 4-digit message
     gen_rng = np.random.default_rng(50 + q)
@@ -789,7 +788,8 @@ def test_gfq_solve_matches_map_form(q):
     while gfq_rank(gen[:, 1:6], q) < 4:
         gen = gen_rng.integers(0, q, size=(4, 12), dtype=np.uint8)
     gen[:, 1] = gen[:, 0]
-    words = gf.gfq_matmul(gen_rng.integers(0, q, size=(7, 4), dtype=np.uint8), gen, q)
+    msgs = gen_rng.integers(0, q, size=(7, 4), dtype=np.uint8)
+    words = gf.gfq_matmul(msgs, gen, q)
     bad = words.copy()
     bad[3, 0] = (bad[3, 0] + 1) % q
     full, short = np.arange(8), np.arange(3)
@@ -802,12 +802,11 @@ def test_gfq_solve_matches_map_form(q):
         ("batch", full, words, "solved"),
     ]
     for name, known, vals, expected in cases:
-        wanted = np.setdiff1d(np.arange(12), known)
-        got = _solve_outcome(gfq_solve, gen, known, vals[:, known], wanted, q)
-        assert got == _solve_outcome(map_form_solve, gen, known, vals[:, known], wanted, q), name
+        got = _solve_outcome(gfq_solve, gen[:, known], vals[:, known], q)
+        assert got == _solve_outcome(map_form_solve, gen[:, known], vals[:, known], q), name
         assert (got if isinstance(got, str) else "solved") == expected, name
         if expected == "solved":
-            assert got == vals[:, wanted].tolist(), name
+            assert got == msgs[: len(vals)].tolist(), name
 
 
 def _tail_cases(code, gen):

@@ -83,7 +83,8 @@ def test_spec_build_reference(example2_code):
 
 def test_spec_build_defaults():
     code = CodeSpec.from_text(TINY_SPEC).build()
-    assert (code.q, code.m, code.r, code.delta) == (2, 6, 1, 2)
+    p = code.params
+    assert (p.q, p.m, p.r, p.delta) == (2, 6, 1, 2)
 
 
 def test_spec_build_makes_one_field(tmp_path, monkeypatch, example2_code, tiny_code):

@@ -118,6 +118,32 @@ def test_interpolate_rejects_dependent_points(example2_field):
     assert interpolate(f, [], []) == LinearizedPoly.zero(f)
 
 
+def test_interpolate_checks_independence_once(example2_field, monkeypatch):
+    # building the Gabidulin code on the points is the one independence
+    # check: dependent points and more than m points are refused by it
+    # with the Moore matrix message, and independent ones pass it once
+    f = example2_field
+    calls = []
+    span_rank = Field.span_rank
+
+    def counted(self, elements):
+        calls.append(len(elements))
+        return span_rank(self, elements)
+
+    monkeypatch.setattr(Field, "span_rank", counted)
+    a, b = f.omega, f.omega_pow(2)
+    with pytest.raises(ValueError, match="Moore matrix singular"):
+        interpolate(f, [a, b, f.add(a, b)], [1, 1, 1])
+    assert calls == [3]
+    calls.clear()
+    with pytest.raises(ValueError, match="Moore matrix singular"):
+        interpolate(f, [f.q**t for t in range(f.m)] + [f.omega], [1] * (f.m + 1))
+    assert len(calls) <= 1
+    calls.clear()
+    assert interpolate(f, [a, b], [1, 2]).evaluate_many([a, b]) == [1, 2]
+    assert calls == [2]
+
+
 def test_root_space_dim_counts_kernel(example2_field):
     f = example2_field
     rng = SplitMix64(241)

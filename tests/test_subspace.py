@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rankloc import subspace
 from rankloc.codes import build_code
 from rankloc.gf import Field, FieldSpec, _digit_rows, base_tables, gfq_rank
 from rankloc.rng import SplitMix64
@@ -157,8 +158,6 @@ def test_min_subspace_distance_tiny(tiny_code):
 
 def test_min_subspace_distance_cross_check_fires(tiny_code, monkeypatch):
     # a rank kernel that miscounts codeword differences breaks d_S = 2 d_R
-    from rankloc import subspace
-
     real = subspace.gfq_rank_codes
 
     def off_by_one_on_differences(codes, q, width):
@@ -189,14 +188,16 @@ def test_lifted_distances_match_subspace_distance(q, example2_code):
         assert got[0] == 0
 
 
-def test_lifted_distances_fill_64_bits():
+def test_lifted_distances_fill_64_bits(monkeypatch):
     # q^(n+m) = 2^64: packed lifted columns use the top bit of uint64, so
     # any signed intermediate would wrap.  The code builds (about a second,
-    # the irreducibility test), and both routes of the distance agree
+    # the irreducibility test), and both routes of the distance agree.
+    # 50 sampled pairs keep the locality check at a few milliseconds
+    monkeypatch.setattr(subspace, "_SAMPLED_PAIRS", 50)
     spec = FieldSpec(4, 16, (2, 1, 0, 2, 0, 0, 0, 0, 3, 1, 3, 0, 1, 3, 3, 1, 1), 1)
     code = build_code(4, 16, 16, 2, 1, 1, field=Field(spec))
     f = code.field
-    report = verify_subspace_locality(code, sample_pairs=50)
+    report = verify_subspace_locality(code)
     assert report.passed and not report.exact
     rng = SplitMix64(4416)
     msgs = np.array([[rng.randbelow(f.order) for _ in range(2)] for _ in range(40)])
@@ -251,29 +252,39 @@ def test_locality_projection_is_the_local_code(tiny_code):
 
 def test_locality_sampled_mode(example2_code):
     # the 2^36-codeword instance only admits the sampled check
-    report = verify_subspace_locality(
-        example2_code, max_pairs=50_000, sample_pairs=300, seed=3
-    )
+    report = verify_subspace_locality(example2_code, seed=3)
     assert report.r == 2 and report.subspace_delta == 4
     assert report.passed and not report.exact
     assert report.summary() == "subspace-locality (2,4): PASS (sampled)"
     for b in report.blocks:
         assert b.size_ok and b.dim_ok
         assert b.projected_distance >= b.required_distance
-    # seeded sample: block 1's observed minimum stays above the true 4
-    assert [b.projected_distance for b in report.blocks] == [6, 4, 4]
+    # seeded sample: every block's 2000 pairs reach the true minimum 4
+    assert [b.projected_distance for b in report.blocks] == [4, 4, 4]
 
 
-def test_locality_sampled_distances_pinned(example2_code):
+def test_locality_sampled_distances_pinned(example2_code, monkeypatch):
     # the values of enumerating every local codeword and sampling pairs
     # among them, which drawing the pair indices first must reproduce;
     # with budget=1000 the local codes are over budget and the pairs come
-    # from random messages instead
-    within = verify_subspace_locality(example2_code, sample_pairs=20, seed=5)
+    # from random messages instead.  The pins were taken at 20 and 50
+    # pairs, where the blocks' minima still differ
+    monkeypatch.setattr(subspace, "_SAMPLED_PAIRS", 20)
+    within = verify_subspace_locality(example2_code, seed=5)
     assert [b.projected_distance for b in within.blocks] == [6, 6, 6]
-    over = verify_subspace_locality(example2_code, budget=1000, sample_pairs=50, seed=2)
+    monkeypatch.setattr(subspace, "_SAMPLED_PAIRS", 50)
+    over = verify_subspace_locality(example2_code, budget=1000, seed=2)
     assert [b.projected_distance for b in over.blocks] == [4, 4, 6]
     assert not within.exact and not over.exact
+
+
+def test_locality_over_budget_leaves_out_equal_messages(tiny_code):
+    # past the budget the pairs index a pool of 2000 random messages, and
+    # the 64 local messages of the tiny code repeat in it: two equal
+    # messages at different indices would read distance 0
+    report = verify_subspace_locality(tiny_code, budget=10)
+    assert not report.exact and report.passed
+    assert [b.projected_distance for b in report.blocks] == [4, 4, 4]
 
 
 def test_locality_rejects_plain_codes(tiny_code):
