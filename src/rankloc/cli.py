@@ -149,6 +149,8 @@ def cmd_decode(args) -> int:
 def cmd_verify(args) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not 0 <= args.seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
     spec, code = _load(args)

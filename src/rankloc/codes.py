@@ -24,6 +24,7 @@ import numpy as np
 
 from .gf import (
     Field,
+    FieldSpec,
     FieldTower,
     gfq_parity_checks,
     gfq_rank_codes,
@@ -424,11 +425,12 @@ def build_code(
 ) -> LocalRankCode:
     """Validate parameters, build the tower (defaults unless pinned), encode-ready.
 
-    ``field`` defaults to the field of ``FieldSpec.default(q, m)`` (see
-    ``tower_build``).
+    ``field`` defaults to the field of ``FieldSpec.default(q, m)``.
     """
     params = CodeParams(q, m, n, k, r, delta)
-    tower = tower_build(q, m, n, params.s, field=field, basis_a=basis_a, basis_b=basis_b)
+    if field is None:
+        field = Field(FieldSpec.default(q, m))
+    tower = tower_build(field, n, params.s, basis_a=basis_a, basis_b=basis_b)
     return LocalRankCode(params, tower)
 
 

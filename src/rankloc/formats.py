@@ -166,11 +166,7 @@ class CodeSpec:
 
     def build(self) -> LocalRankCode:
         if self.modulus is not None:
-            # prefer w^k reporting; fall back when x is not primitive
-            try:
-                f = Field(FieldSpec(self.q, self.m, self.modulus, 1))
-            except ValueError:
-                f = Field(FieldSpec(self.q, self.m, self.modulus))
+            f = Field(FieldSpec(self.q, self.m, self.modulus))
         else:
             f = Field(FieldSpec.default(self.q, self.m))
         basis_a = basis_b = None

@@ -262,26 +262,23 @@ class FieldSpec:
     """Parameters pinning one concrete presentation of GF(q^m).
 
     ``modulus`` lists the coefficients of the defining polynomial, lowest
-    order first, length m + 1, monic.  ``primitive_power_of_generator``,
-    when set to an integer p, enables reporting of nonzero elements as
-    powers of w = x^p; that element must have multiplicative order
-    q^m - 1, which is verified at construction.
+    order first, length m + 1, monic.  The field's designated primitive
+    element w is x when x is primitive (see ``Field``).
     """
 
     q: int
     m: int
     modulus: tuple[int, ...]
-    primitive_power_of_generator: int | None = None
 
     @staticmethod
     def default(q: int, m: int) -> "FieldSpec":
-        """A primitive modulus (tabled for q = 2, else searched); w = x."""
+        """A primitive modulus (tabled for q = 2, else searched), so w = x."""
         if q == 2:
             if m not in _BINARY_MODULI:
                 raise ValueError("fields with m > 16 unsupported")
-            return FieldSpec(2, m, _BINARY_MODULI[m], 1)
+            return FieldSpec(2, m, _BINARY_MODULI[m])
         _check_order(q, m)
-        return FieldSpec(q, m, _search_modulus(q, m, primitive=True), 1)
+        return FieldSpec(q, m, _search_modulus(q, m, primitive=True))
 
 
 def _search_modulus(q: int, m: int, *, primitive: bool) -> tuple[int, ...]:
@@ -307,8 +304,7 @@ def _search_modulus(q: int, m: int, *, primitive: bool) -> tuple[int, ...]:
                 return cand
             _IRREDUCIBLE.add((q, cand))
             # no log tables: one primitivity test does not repay building them
-            f = Field(FieldSpec(q, m, cand, None), _table_limit=0)
-            if f._is_primitive(f.x):
+            if Field(FieldSpec(q, m, cand), _table_limit=0).omega is not None:
                 return cand
     raise ValueError("no irreducible polynomial found")
 
@@ -340,16 +336,11 @@ class Field:
         self._mod_mask = sum(c << i for i, c in enumerate(spec.modulus)) if q == 2 else None
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
-        self.omega: int | None = None
+        # the designated primitive element w: nonzero elements are reported
+        # as powers of it, and towers derive their subfield generator from it
+        self.omega: int | None = self.x if self._is_primitive(self.x) else None
         if self.order <= _table_limit:
             self._build_log_tables()
-        if spec.primitive_power_of_generator is not None:
-            w = self.pow(self.x, spec.primitive_power_of_generator)
-            if not self._is_primitive(w):
-                raise ValueError("generator power is not primitive")
-            self.omega = w
-            if self._log is not None and self._log[w] != 1:
-                self._build_log_tables(base=w)
 
     # -- representation ----------------------------------------------------
 
@@ -457,11 +448,11 @@ class Field:
             return 0
         return self.pow(a, pow(self.q, e, self.order - 1))
 
-    def _build_log_tables(self, base: int | None = None) -> None:
+    def _build_log_tables(self) -> None:
+        # on omega, or on the first primitive element when x is not primitive
+        base = self.omega
         if base is None:
-            base = self.x
-            if not self._is_primitive(base):
-                base = next(c for c in range(1, self.order) if self._is_primitive(c))
+            base = next(c for c in range(1, self.order) if self._is_primitive(c))
         # exp holds two periods of base^i, then zeros up to index 4(order - 1):
         # a sum of two nonzero logs stays in the periods, and any sum with
         # log[0] = 2(order - 1) lands in the zeros.  Logs are int32 (every
@@ -762,15 +753,16 @@ def _parity_solve(
     """(checks, repair): the parity tail, one pivot per erased digit.
 
     ``parity`` is H^T and ``erased`` masks its rows E; the rest are the
-    known digits K.  With T from ``_left_reduce(H_E)``, P = H_K^T @ T^T
-    turns x_E @ H_E^T = -x_K @ H_K^T into x_E @ (T @ H_E)^T = -x_K @ P, so
-    x_K is a codeword restriction exactly when its product with ``checks``
-    = P[:, rank:] is zero: |K| - rank(gen_K) checks, as the generator side
-    gives.  At full rank ``repair`` = -P[:, :rank] gives the erased digits
-    in order; below it a codeword vanishes on K and ``repair`` is None.
+    known digits K.  One reduction of [H_E | H_K] (``_left_reduce``) gives
+    T @ H_K = P^T, which turns x_E @ H_E^T = -x_K @ H_K^T into
+    x_E @ (T @ H_E)^T = -x_K @ P, so x_K is a codeword restriction exactly
+    when its product with ``checks`` = P[:, rank:] is zero: |K| -
+    rank(gen_K) checks, as the generator side gives.  At full rank
+    ``repair`` = -P[:, :rank] gives the erased digits in order; below it a
+    codeword vanishes on K and ``repair`` is None.
     """
-    solve, rank = _left_reduce(parity[erased].T, q)
-    prod = gfq_matmul(parity[~erased], solve.T, q)
+    solved, rank = _left_reduce(parity[erased].T, q, parity[~erased].T)
+    prod = solved.T
     repair = base_tables(q).sub[0, prod[:, :rank]] if rank == erased.sum() else None
     return prod[:, rank:], repair
 
@@ -839,31 +831,26 @@ class FieldTower:
 
 
 def tower_build(
-    q: int,
-    m: int,
+    field: Field,
     n: int,
     s: int,
     *,
-    field: Field | None = None,
     basis_a: Sequence[int] | None = None,
     basis_b: Sequence[int] | None = None,
 ) -> FieldTower:
-    """Build the evaluation tower, searching default bases when not pinned.
+    """Build the evaluation tower in ``field``, searching default bases
+    when not pinned.
 
-    g = w^((q^m-1)/(q^s-1)) generates GF(q^s)^*, w being primitive.
-    Defaults: basis_a = (g^0, ..., g^(s-1)); basis_b = powers (gamma^0,
-    ..., gamma^(mu-1)) of the first power of w lying in GF(q^n), starting
-    from w^0 = 1, whose powers pass the product rank-n check (gamma = 1
-    passes only when mu = 1).  Explicit overrides are validated against
-    the same invariants.  The field is ``field`` when given, else built
-    from ``FieldSpec.default``.
+    g = w^((q^m-1)/(q^s-1)) generates GF(q^s)^*, w being the field's
+    designated primitive element.  Defaults: basis_a = (g^0, ...,
+    g^(s-1)); basis_b = powers (gamma^0, ..., gamma^(mu-1)) of the first
+    power of w lying in GF(q^n), starting from w^0 = 1, whose powers pass
+    the product rank-n check (gamma = 1 passes only when mu = 1).
+    Explicit overrides are validated against the same invariants.
     """
+    q, m = field.q, field.m
     if n % s != 0 or m % n != 0:
         raise ValueError("parameter divisibility violated")
-    if field is None:
-        field = Field(FieldSpec.default(q, m))
-    if field.q != q or field.m != m:
-        raise ValueError("field spec does not match tower parameters")
     if field.omega is None:
         raise ValueError("tower construction needs a designated primitive element")
     mu = n // s

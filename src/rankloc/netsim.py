@@ -100,6 +100,8 @@ def channel_apply(x: np.ndarray, config: ChannelConfig, rng: SplitMix64, q: int 
     by rejection; exhausting the rejection budget means the floor is
     unreachable (e.g. too few collected packets) and the config is at
     fault.  Z carries exactly t <= t_max nonzero rows on distinct links.
+    B is drawn only when t > 0, the last draw of a call, so a caller that
+    reuses ``rng`` sees fewer draws after a call that realized t = 0.
     """
     x = np.asarray(x, dtype=np.uint8)
     s, width = x.shape
@@ -109,7 +111,7 @@ def channel_apply(x: np.ndarray, config: ChannelConfig, rng: SplitMix64, q: int 
     floor = s - config.rho_max
     for _ in range(_MAX_REJECTIONS):
         a = _uniform_matrix(rng, n_col, s, q)
-        rank_a = gfq_rank(a.copy(), q)
+        rank_a = gfq_rank(a, q)
         if rank_a >= floor:
             break
     else:
@@ -123,12 +125,11 @@ def channel_apply(x: np.ndarray, config: ChannelConfig, rng: SplitMix64, q: int 
             if any(packet):
                 break
         z[row] = packet
-    b = _uniform_matrix(rng, n_col, config.links, q)
 
-    tables = base_tables(q)
     y = gfq_matmul(a, x, q)
     if t:
-        y = tables.add[y, gfq_matmul(b, z, q)]
+        b = _uniform_matrix(rng, n_col, config.links, q)
+        y = base_tables(q).add[y, gfq_matmul(b, z, q)]
     return ChannelOutput(received=y, rho=s - rank_a, t=t)
 
 

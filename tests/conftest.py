@@ -18,7 +18,7 @@ def example2_field():
 def example2_code(example2_field):
     f = example2_field
     tower = tower_build(
-        2, 9, 9, 3,
+        f, 9, 3,
         basis_a=[f.one, f.omega_pow(73), f.omega_pow(146)],
         basis_b=[f.one, f.omega_pow(309), f.omega_pow(107)],
     )

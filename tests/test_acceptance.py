@@ -48,8 +48,7 @@ from helpers import (
 def build_reference_code() -> LocalRankCode:
     f = Field(FieldSpec.default(2, 9))  # x^9 + x^4 + 1
     tower = tower_build(
-        2, 9, 9, 3,
-        field=f,
+        f, 9, 3,
         basis_a=[f.one, f.omega_pow(73), f.omega_pow(146)],
         basis_b=[f.one, f.omega_pow(309), f.omega_pow(107)],
     )

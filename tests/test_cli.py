@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankloc import gf
 from rankloc.cli import main
 from rankloc.formats import CodeSpec, parse_codeword, parse_received
 
@@ -544,6 +545,31 @@ def test_field_past_the_factoring_limit_refused(ws, capsys):
     assert "GF(5^16) unsupported: q^m - 1 exceeds 2**32" in err
 
 
+@pytest.mark.parametrize(
+    "modulus, reason",
+    [
+        # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5, not 15
+        ("1,1,1,1,1", "tower construction needs a designated primitive element"),
+        ("1,1,0,1,1", "modulus not irreducible"),  # (x + 1)(x^3 + 1)
+    ],
+    ids=["x-not-primitive", "reducible"],
+)
+def test_modulus_without_a_primitive_x_refused_after_one_irreducibility_test(
+    ws, capsys, monkeypatch, modulus, reason
+):
+    calls = []
+    is_irreducible = gf._poly_is_irreducible
+
+    def counting(mod, t):
+        calls.append(tuple(mod))
+        return is_irreducible(mod, t)
+
+    monkeypatch.setattr(gf, "_poly_is_irreducible", counting)
+    (ws / "x.spec").write_text(f"q=2\nm=4\nn=4\nk=2\nr=1\ndelta=2\nmodulus={modulus}\n")
+    assert run(capsys, "build", "--spec", ws / "x.spec") == (3, "", f"error: {reason}\n")
+    assert calls == [tuple(int(c) for c in modulus.split(","))]
+
+
 def test_bad_spec_reports_reason(ws, capsys):
     (ws / "bad.spec").write_text("q=2\nm=9\nn=9\nk=3\nr=2\ndelta=2\n")
     code, _, err = run(capsys, "build", "--spec", ws / "bad.spec")
@@ -654,12 +680,13 @@ def test_sampled_out_of_memory_names_samples(ws, capsys, monkeypatch):
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_refuses_samples_below_one(ws, capsys, samples):
-    code, out, err = run(
-        capsys, "verify", "--spec", ws / "ref.spec", "--mode", "sampled", "--samples", samples,
-    )
-    assert code == 3
-    assert out == "d_bound=5\ngood_poly_per_rack=1,w^119,w^238\n"
-    assert err == f"error: --samples must be at least 1, got {samples}\n"
+    # up front in both modes, as --budget is, though exact mode samples nothing
+    for mode in ("exact", "sampled"):
+        code, out, err = run(
+            capsys, "verify", "--spec", ws / "tiny.spec", "--mode", mode, "--samples", samples,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])

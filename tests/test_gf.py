@@ -149,9 +149,8 @@ def test_fields_past_the_factoring_limit_refused_before_trial_division(monkeypat
 
     monkeypatch.setattr(gf, "_trial_divisors", never)
     modulus = (3, 2) + (0,) * 14 + (1,)
-    for spec in (FieldSpec(7, 16, modulus), FieldSpec(7, 16, modulus, 1)):
-        with pytest.raises(ValueError, match=r"GF\(7\^16\) unsupported: q\^m - 1 exceeds 2\*\*32"):
-            Field(spec)
+    with pytest.raises(ValueError, match=r"GF\(7\^16\) unsupported: q\^m - 1 exceeds 2\*\*32"):
+        Field(FieldSpec(7, 16, modulus))
     with pytest.raises(ValueError, match=r"GF\(5\^16\) unsupported"):
         FieldSpec.default(5, 16)
 
@@ -263,20 +262,50 @@ def test_log_tables_match_the_scalar_loop(q, m):
     assert f._log.dtype == log.dtype and f._log.tobytes() == log.tobytes()
 
 
-@pytest.mark.parametrize("power", [1, 5, 10, 256])
+@pytest.mark.parametrize("power", [1])
 def test_log_tables_rebased_to_omega(power):
-    # ref.spec's modulus x^9 + x^4 + 1 with w = x^power: the tables are
-    # built on x first, then rebuilt on w unless w = x
-    f = Field(FieldSpec(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1), power))
-    assert f._exp[1] == f.omega
+    # ref.spec's modulus x^9 + x^4 + 1, whose x is primitive, so the
+    # field designates w = x = x^power and builds its tables on it
+    f = Field(FieldSpec(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)))
+    assert f._exp[1] == f.omega == f.pow(f.x, power)
     exp, log = _scalar_log_tables(f, f.omega)
     assert f._exp.tobytes() == exp.tobytes() and f._log.tobytes() == log.tobytes()
 
 
 def test_log_tables_refuse_a_non_primitive_base():
     f = Field(FieldSpec.default(2, 9))
+    f.omega = 0
     with pytest.raises(ValueError, match="not primitive"):
-        f._build_log_tables(base=0)
+        f._build_log_tables()
+
+
+def _order_by_powers(f, a):
+    # multiplicative order of a nonzero a, one schoolbook multiply per power
+    v, order = a, 1
+    while v != 1:
+        v, order = f._mul_poly(v, a), order + 1
+    return order
+
+
+@pytest.mark.parametrize(
+    "q, m", [(2, 4), (2, 6), (3, 2), (3, 3), (4, 2), (5, 1), (5, 2), (9, 2)]
+)
+def test_omega_is_x_exactly_when_x_is_primitive(q, m):
+    # over every monic irreducible modulus of degree m: w = x when x is
+    # primitive and no w otherwise, and the log tables are built on w, or
+    # on the first primitive element when there is none
+    seen = set()
+    for idx in range(q**m):
+        modulus = tuple(gf._digits(idx, q, m)) + (1,)
+        if not gf._poly_is_irreducible(modulus, base_tables(q)):
+            continue
+        f = Field(FieldSpec(q, m, modulus))
+        primitive = f.x != 0 and _order_by_powers(f, f.x) == f.order - 1
+        assert f.omega == (f.x if primitive else None)
+        first = next(a for a in range(1, f.order) if _order_by_powers(f, a) == f.order - 1)
+        assert f._exp[1] == (f.x if primitive else first)
+        seen.add(primitive)
+    assert seen == {True, False}
 
 
 def test_times_x_matches_schoolbook():
@@ -575,14 +604,17 @@ def test_gfq_rank_reads_bool_and_wide_integers():
 
 def test_field_spec_validation():
     with pytest.raises(ValueError, match="monic"):
-        Field(FieldSpec(2, 3, (1, 1, 0, 0), None))
+        Field(FieldSpec(2, 3, (1, 1, 0, 0)))
     with pytest.raises(ValueError, match="irreducible"):
-        Field(FieldSpec(2, 3, (0, 0, 0, 1), None))  # x^3 factors
+        Field(FieldSpec(2, 3, (0, 0, 0, 1)))  # x^3 factors
     with pytest.raises(ValueError, match="out of range"):
-        Field(FieldSpec(2, 3, (3, 1, 0, 1), None))
-    with pytest.raises(ValueError, match="primitive"):
-        # x^2 + 2x + 1 over GF(4): x has order 5, not 15
-        Field(FieldSpec(4, 2, (1, 2, 1), 1))
+        Field(FieldSpec(2, 3, (3, 1, 0, 1)))
+    # x^2 + 2x + 1 over GF(4): x has order 5, not 15, so the field has no
+    # designated primitive element and no tower can be built in it
+    f = Field(FieldSpec(4, 2, (1, 2, 1)))
+    assert f.omega is None
+    with pytest.raises(ValueError, match="needs a designated primitive element"):
+        tower_build(f, 2, 1)
 
 
 def test_element_order(example2_field):
@@ -622,7 +654,7 @@ def test_gfq_helpers_round_trip():
 
 
 def test_tower_default_construction(example2_field):
-    t = tower_build(2, 9, 9, 3, field=example2_field)
+    t = tower_build(example2_field, 9, 3)
     f = t.field
     assert t.mu == 3
     assert f.element_order(t.g) == 2**3 - 1
@@ -684,21 +716,21 @@ def test_tower_product_rank_is_the_independence_check(example2_field):
 def test_tower_validation_errors(example2_field):
     f = example2_field
     with pytest.raises(ValueError, match="divisibility"):
-        tower_build(2, 9, 4, 2, field=f)
+        tower_build(f, 4, 2)
     with pytest.raises(ValueError, match="outside"):
-        tower_build(2, 9, 9, 3, field=f, basis_a=[1, f.omega, f.omega_pow(2)])
+        tower_build(f, 9, 3, basis_a=[1, f.omega, f.omega_pow(2)])
     g = f.omega_pow(73)
     with pytest.raises(ValueError, match="independent"):
-        tower_build(2, 9, 9, 3, field=f, basis_a=[1, g, f.add(1, g)])
+        tower_build(f, 9, 3, basis_a=[1, g, f.add(1, g)])
     with pytest.raises(ValueError, match="must have"):
-        tower_build(2, 9, 9, 3, field=f, basis_b=[1, g])
+        tower_build(f, 9, 3, basis_b=[1, g])
     with pytest.raises(ValueError, match="independent"):
         # all products land inside GF(2^3): rank 3 < 9
-        tower_build(2, 9, 9, 3, field=f, basis_b=[1, g, f.add(1, g)])
+        tower_build(f, 9, 3, basis_b=[1, g, f.add(1, g)])
     small = Field(FieldSpec.default(2, 6))
     with pytest.raises(ValueError, match="outside"):
         # omega generates GF(2^6)*, so it cannot sit inside GF(2^3)
-        tower_build(2, 6, 3, 3, field=small, basis_b=[small.omega])
+        tower_build(small, 3, 3, basis_b=[small.omega])
 
 
 def test_factorization_cap():

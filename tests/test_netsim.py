@@ -176,6 +176,25 @@ def test_channel_unsatisfiable_rank_floor(tiny_code):
         channel_apply(x, cfg, SplitMix64(1))
 
 
+def test_noiseless_channel_draws_only_a_and_t(tiny_code, monkeypatch):
+    # at t = 0 nothing reads B, so it is not drawn: one draw per entry of A,
+    # then one for t.  rho_max = 2 puts the rank floor at 0, so the first A
+    # is kept
+    code = tiny_code
+    x = transmit_matrix(code, code.encode_matrix([1, code.field.omega]), 1)
+    cfg = ChannelConfig(packets_per_rack=2, n_collect=3, rho_max=2, t_max=0, links=4, seed=9)
+    bounds = []
+    randbelow = SplitMix64.randbelow
+
+    def counting(self, n):
+        bounds.append(n)
+        return randbelow(self, n)
+
+    monkeypatch.setattr(SplitMix64, "randbelow", counting)
+    assert channel_apply(x, cfg, SplitMix64(5)).t == 0
+    assert bounds == [2] * (3 * 2) + [1]
+
+
 # ---------------------------------------------------------------------------
 # decoding and trials
 

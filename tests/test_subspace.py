@@ -194,7 +194,7 @@ def test_lifted_distances_fill_64_bits(monkeypatch):
     # the irreducibility test), and both routes of the distance agree.
     # 50 sampled pairs keep the locality check at a few milliseconds
     monkeypatch.setattr(subspace, "_SAMPLED_PAIRS", 50)
-    spec = FieldSpec(4, 16, (2, 1, 0, 2, 0, 0, 0, 0, 3, 1, 3, 0, 1, 3, 3, 1, 1), 1)
+    spec = FieldSpec(4, 16, (2, 1, 0, 2, 0, 0, 0, 0, 3, 1, 3, 0, 1, 3, 3, 1, 1))
     code = build_code(4, 16, 16, 2, 1, 1, field=Field(spec))
     f = code.field
     report = verify_subspace_locality(code)
