@@ -17,8 +17,10 @@ from .codes import (
     build_code,
     interpolate,
     min_rank_distance,
+    rack_min_ranks,
     rank_distance_bound,
     sampled_min_rank,
+    sampled_min_ranks,
 )
 from .crisscross import (
     CorrectionReport,
@@ -107,10 +109,12 @@ __all__ = [
     "min_rank_distance",
     "min_subspace_distance",
     "mix64",
+    "rack_min_ranks",
     "rank_distance_bound",
     "rcef",
     "run_trials",
     "sampled_min_rank",
+    "sampled_min_ranks",
     "solve_download",
     "subspace_distance",
     "tower_build",

@@ -18,8 +18,9 @@ from .codes import (
     DEFAULT_ORACLE_BUDGET,
     OracleBudgetError,
     min_rank_distance,
+    rack_min_ranks,
     rank_distance_bound,
-    sampled_min_rank,
+    sampled_min_ranks,
 )
 from .crisscross import AmbiguousErasureError, decode_erasures, validate_patterns
 from .gf import base_tables
@@ -173,10 +174,8 @@ def cmd_verify(args) -> int:
     if args.mode == "exact":
         try:
             d = min_rank_distance(code, args.budget)
-            local_ds = [
-                min_rank_distance(code.local_code(j), args.budget)
-                for j in range(1, p.mu + 1)
-            ]
+            # every rack's local code at once: nonzero messages of the family
+            local_ds = rack_min_ranks(code, code.rack_family().codeword_codes(args.budget)[1:])
         except OracleBudgetError as exc:
             print(f"error: {exc}; use --mode sampled", file=sys.stderr)
             return 3
@@ -185,11 +184,7 @@ def cmd_verify(args) -> int:
         d_label = f"d={d} " + ("(optimal)" if d == bound else f"(bound {bound})")
     else:
         try:
-            d = sampled_min_rank(code, samples=args.samples, seed=args.seed)
-            local_ds = [
-                sampled_min_rank(code.local_code(j), samples=args.samples, seed=args.seed)
-                for j in range(1, p.mu + 1)
-            ]
+            d, local_ds = sampled_min_ranks(code, args.samples, args.seed)
         except MemoryError:
             reason = f"out of memory at --samples {args.samples}; lower the sample count"
             print(f"error: {reason}", file=sys.stderr)

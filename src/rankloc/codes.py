@@ -11,6 +11,10 @@ arithmetic windows (block j contributes exponents (r+delta-1)*j + i,
 racks of r+delta-1 columns.  Each rack then carries a length-(r+delta-1),
 dimension-r Gabidulin code: any r surviving columns of a rack rebuild the
 whole rack, which is the locality property everything else exploits.
+Every rack's local code is the restriction to its columns of one code,
+``rack_family()``, Gab[n, r] on all n points, so the distance checks
+encode the racks together and rank their blocks in one call
+(``rack_min_ranks``, ``sampled_min_ranks``).
 """
 
 from __future__ import annotations
@@ -383,6 +387,7 @@ class LocalRankCode(_EvaluationCode):
         ]
         self._init_eval(f, tower.product_points(), exps)
         self._local_codes: dict[int, GabidulinCode] = {}
+        self._rack_family: GabidulinCode | None = None
         # crisscross erasure plans by mask bytes, least recently used first
         self._erasure_plans: OrderedDict[bytes, object] = OrderedDict()
 
@@ -402,6 +407,16 @@ class LocalRankCode(_EvaluationCode):
         if j not in self._local_codes:
             self._local_codes[j] = GabidulinCode(self.field, self.rack_points(j), self.params.r)
         return self._local_codes[j]
+
+    def rack_family(self) -> GabidulinCode:
+        """Gab[n, r] on all n evaluation points, exponents 0..r-1 (cached).
+
+        Its restriction to rack j's columns is ``local_code(j)``, so one
+        encode of a message gives every rack's local codeword for it.
+        """
+        if self._rack_family is None:
+            self._rack_family = GabidulinCode(self.field, self.eval_points, self.params.r)
+        return self._rack_family
 
     def __repr__(self) -> str:
         p = self.params
@@ -425,11 +440,14 @@ def build_code(
 ) -> LocalRankCode:
     """Validate parameters, build the tower (defaults unless pinned), encode-ready.
 
-    ``field`` defaults to the field of ``FieldSpec.default(q, m)``.
+    ``field`` defaults to the field of ``FieldSpec.default(q, m)``; a
+    pinned field of another (q, m) is refused before any tower work.
     """
     params = CodeParams(q, m, n, k, r, delta)
     if field is None:
         field = Field(FieldSpec.default(q, m))
+    elif (field.q, field.m) != (q, m):
+        raise ValueError(f"field GF({field.q}^{field.m}) does not match parameters GF({q}^{m})")
     tower = tower_build(field, n, params.s, basis_a=basis_a, basis_b=basis_b)
     return LocalRankCode(params, tower)
 
@@ -444,6 +462,32 @@ def min_rank_distance(code: _EvaluationCode, budget: int = DEFAULT_ORACLE_BUDGET
     return int(gfq_rank_codes(code.codeword_codes(budget)[1:], f.q, f.m).min())
 
 
+def _nonzero_rows(rng: SplitMix64, rows: np.ndarray, order: int) -> np.ndarray:
+    """The nonzero rows of ``rows``, refilled from ``rng`` to their count.
+
+    ``rows`` are the first draws of ``rng``'s values below ``order``, read
+    in rows of their width; missing rows are drawn in one block each round
+    and their nonzero ones kept, so the result is the row-by-row draw that
+    skips all-zero rows.  Only a block holding an all-zero row refills.
+    """
+    samples, width = rows.shape
+    msgs = rows[rows.any(axis=1)]
+    while len(msgs) < samples:
+        more = rng.randbelow_array(np.full((samples - len(msgs)) * width, order))
+        more = more.astype(np.int64).reshape(-1, width)
+        msgs = np.concatenate([msgs, more[more.any(axis=1)]])
+    return msgs
+
+
+def _draw_rows(seed: int, samples: int, width: int, order: int) -> tuple[SplitMix64, np.ndarray]:
+    """SplitMix64(seed) and its first ``samples`` rows of ``width`` values below ``order``."""
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    rng = SplitMix64(seed)
+    drawn = rng.randbelow_array(np.full(samples * width, order)).astype(np.int64)
+    return rng, drawn.reshape(samples, width)
+
+
 def sampled_min_rank(
     code: _EvaluationCode, samples: int = 10_000, seed: int = 0
 ) -> int:
@@ -452,18 +496,45 @@ def sampled_min_rank(
     An upper bound on the distance and a probabilistic floor check; use
     when the full scan is out of budget.
     """
-    if samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {samples}")
-    rng = SplitMix64(seed)
-    msgs = np.empty((samples, code.k), dtype=np.int64)
-    done = 0
-    # draw the missing rows in one block and keep the nonzero ones: the
-    # stream is the row-by-row draw that skips all-zero rows
-    while done < samples:
-        rows = rng.randbelow_array(np.full((samples - done) * code.k, code.field.order))
-        rows = rows.astype(np.int64).reshape(samples - done, code.k)
-        rows = rows[rows.any(axis=1)]
-        msgs[done : done + len(rows)] = rows
-        done += len(rows)
     f = code.field
+    rng, rows = _draw_rows(seed, samples, code.k, f.order)
+    msgs = _nonzero_rows(rng, rows, f.order)
     return int(gfq_rank_codes(code.encode_batch(msgs), f.q, f.m).min())
+
+
+def rack_min_ranks(code: LocalRankCode, codes: np.ndarray) -> list[int]:
+    """Minimum rank of each rack's columns over (B, n) codeword codes.
+
+    The racks' blocks are ranked in one call, as B * mu words of width s.
+    Given ``code.rack_family()`` codewords of nonzero messages, entry j - 1
+    is the minimum over the matching nonzero codewords of ``local_code(j)``.
+    """
+    p = code.params
+    ranks = gfq_rank_codes(np.asarray(codes).reshape(-1, p.s), p.q, p.m)
+    return ranks.reshape(-1, p.mu).min(axis=0).tolist()
+
+
+def sampled_min_ranks(
+    code: LocalRankCode, samples: int = 10_000, seed: int = 0
+) -> tuple[int, list[int]]:
+    """``sampled_min_rank`` of the code and of each ``local_code(j)``, in one draw.
+
+    Every estimate reads SplitMix64(seed)'s stream: the code's messages
+    are the stream in rows of k values, and every rack's are the stream
+    in rows of r, which are the first ``samples * r`` values of the code's
+    draw.  So one draw of ``samples * k`` values serves all of them; the
+    racks draw again only when those rows hold an all-zero row to refill.
+    The racks' messages are encoded once by ``rack_family`` and their
+    blocks ranked by ``rack_min_ranks``.  The results equal
+    ``sampled_min_rank`` of each code with ``seed``.
+    """
+    p = code.params
+    order = code.field.order
+    rng, rows = _draw_rows(seed, samples, p.k, order)
+    msgs = _nonzero_rows(rng, rows, order)
+    d = int(gfq_rank_codes(code.encode_batch(msgs), p.q, p.m).min())
+    rack_msgs = rows.reshape(-1)[: samples * p.r].reshape(samples, p.r)
+    if not rack_msgs.any(axis=1).all():
+        # the racks' refill reads the stream past samples * r values
+        rack_msgs = _nonzero_rows(*_draw_rows(seed, samples, p.r, order), order)
+    return d, rack_min_ranks(code, code.rack_family().encode_batch(rack_msgs))

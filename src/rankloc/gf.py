@@ -474,7 +474,10 @@ class Field:
         while powers.size <= period:
             powers = np.concatenate([powers, step[powers]])
             step = step[step]
-        if powers[period] != 1:
+        # base^i first returns to 1 at i = period exactly when base is
+        # primitive: a lower order repeats its powers, and zero never returns
+        back = powers[1 : period + 1] == 1
+        if not back[-1] or back[:-1].any():
             raise ValueError("log table base is not primitive")
         exp = np.zeros(4 * period + 1, dtype=np.int64)
         log = np.full(self.order, 2 * period, dtype=np.int32)

@@ -5,7 +5,8 @@ canonical ordered basis (reduced column echelon form), so equality of
 subspaces is equality of arrays.  Lifting glues an identity block on top
 of a codeword array; the resulting family inherits twice the rank
 distance, and a code with column-block rank-locality lifts to one whose
-basis vectors can be checked locally per block.
+basis vectors can be checked locally per block; the check encodes, lifts
+and ranks every block's pairs in one pass.
 
 Distance computations deliberately run on two routes, the pairwise
 subspace-distance definition and the doubled rank distance of the source
@@ -132,6 +133,13 @@ def _sample_pairs(rng: SplitMix64, count: int, pairs: int) -> tuple[np.ndarray, 
     return i, j + (j >= i)
 
 
+def _lifted_pairs(
+    left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int
+) -> np.ndarray:
+    """(B, 2w) packed columns: the ``lift_codes`` columns of left[t] beside right[t]'s."""
+    return np.hstack([lift_codes(block, n, cols, q) for block in (left, right)])
+
+
 def _lifted_distances(
     left: np.ndarray, right: np.ndarray, n: int, cols: Sequence[int], q: int, m: int
 ) -> np.ndarray:
@@ -140,8 +148,7 @@ def _lifted_distances(
     Pair t stacks the ``lift_codes`` columns of left[t] with those of
     right[t], and all B stacked pairs are ranked in one batch call.
     """
-    stacked = np.hstack([lift_codes(block, n, cols, q) for block in (left, right)])
-    return 2 * gfq_rank_codes(stacked, q, n + m) - 2 * len(cols)
+    return 2 * gfq_rank_codes(_lifted_pairs(left, right, n, cols, q), q, n + m) - 2 * len(cols)
 
 
 def min_subspace_distance(code: _EvaluationCode, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
@@ -221,65 +228,88 @@ class LocalityReport:
         return f"subspace-locality ({self.r},{self.subspace_delta}): {verdict}"
 
 
+def _sampled_pair_messages(
+    family: _EvaluationCode, budget: int, seed: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block j's ``_SAMPLED_PAIRS`` seeded message pairs of the rack family.
+
+    Within budget, index i stands for message i of the enumeration, and
+    the pairs are drawn from SplitMix64(seed + j).  Past it, the same
+    index pairs choose among a pool of ``_SAMPLED_PAIRS`` messages drawn
+    from SplitMix64(seed * 7919 + j), and a pair that drew the same
+    message twice is left out: it would sit at distance 0.
+    """
+    count = family.codeword_count
+    if count <= budget:
+        i, i2 = _sample_pairs(SplitMix64(seed + j), count, _SAMPLED_PAIRS)
+        return family.messages_at(i), family.messages_at(i2)
+    rng = SplitMix64(seed * 7919 + j)
+    drawn = rng.randbelow_array(np.full(_SAMPLED_PAIRS * family.k, family.field.order))
+    pool = drawn.astype(np.int64).reshape(_SAMPLED_PAIRS, family.k)
+    i, i2 = _sample_pairs(SplitMix64(seed + j), _SAMPLED_PAIRS, _SAMPLED_PAIRS)
+    distinct = (pool[i] != pool[i2]).any(axis=1)
+    return pool[i[distinct]], pool[i2[distinct]]
+
+
 def verify_subspace_locality(
     code: LocalRankCode, budget: int = DEFAULT_ORACLE_BUDGET, seed: int = 0
 ) -> LocalityReport:
-    """Check that lifting kept ``code``'s locality, block by block.
+    """Check that lifting kept ``code``'s locality, for every block at once.
 
     For each column block of the source code the report verifies the
     block is no wider than r+delta-1 basis vectors and the projected
     family's minimum subspace distance reaches twice the source's local
     distance guarantee; every projected codeword keeps full dimension by
-    construction.  The distance scan is exhaustive over the block's local
-    code when it has at most ``budget`` codewords and ``_EXACT_PAIRS``
-    pairs.  Otherwise it compares ``_SAMPLED_PAIRS`` pairs seeded by
-    ``seed`` and the report says so: pairs of local codewords when the
-    code is within budget, built from their message indices, and otherwise
-    pairs among ``_SAMPLED_PAIRS`` random messages, where a pair that drew
-    the same message twice is left out.  Only the compared words are
-    encoded and lifted.
+    construction.  Block j's local code is the restriction of
+    ``code.rack_family()`` to its columns, so every block has q^(m*r)
+    codewords and the same kind of scan.  The scan is exhaustive when
+    that is at most ``budget`` codewords and ``_EXACT_PAIRS`` pairs, all
+    blocks comparing the same pairs of family codewords.  Otherwise each
+    block compares its ``_SAMPLED_PAIRS`` pairs of
+    ``_sampled_pair_messages`` seeded by ``seed`` and j, and the report
+    says so.  All blocks' messages are encoded in one family encode, each
+    block lifts its own columns, and every block's pairs are ranked in
+    one call.
     """
     if not isinstance(code, LocalRankCode):
         raise TypeError("locality verification needs a column-block local code")
     p = code.params
-    blocks = []
-    for j in range(1, p.mu + 1):
-        cols = code.rack_columns(j)
-        size_ok = len(cols) <= p.s
-        local = code.local_code(j)
-        count = local.codeword_count
-        # the projection of a lifted basis onto the block is the block's
-        # local codeword under distinct unit vectors of GF(q)^n, one per
-        # column, so it always keeps the full dimension: dim_ok holds by
-        # construction and is not recomputed
-        exact = count <= budget and count * (count - 1) // 2 <= _EXACT_PAIRS
-        if exact:
-            codes = local.codeword_codes(budget)
-            left, right = (codes[idx] for idx in np.triu_indices(count, 1))
-        else:
-            if count <= budget:
-                # index i stands for local codeword i of the enumeration
-                i, i2 = _sample_pairs(SplitMix64(seed + j), count, _SAMPLED_PAIRS)
-                pair_msgs = local.messages_at(i), local.messages_at(i2)
-            else:
-                rng = SplitMix64(seed * 7919 + j)
-                drawn = rng.randbelow_array(np.full(_SAMPLED_PAIRS * local.k, code.field.order))
-                pool = drawn.astype(np.int64).reshape(_SAMPLED_PAIRS, local.k)
-                i, i2 = _sample_pairs(SplitMix64(seed + j), _SAMPLED_PAIRS, _SAMPLED_PAIRS)
-                # distinct indices can still hold equal messages, at distance 0
-                distinct = (pool[i] != pool[i2]).any(axis=1)
-                pair_msgs = pool[i[distinct]], pool[i2[distinct]]
-            left, right = (local.encode_batch(msgs) for msgs in pair_msgs)
-        dist = int(_lifted_distances(left, right, p.n, cols, p.q, p.m).min())
-        blocks.append(
+    family = code.rack_family()
+    count = family.codeword_count
+    exact = count <= budget and count * (count - 1) // 2 <= _EXACT_PAIRS
+    racks = [code.rack_columns(j) for j in range(1, p.mu + 1)]
+    if exact:
+        codes = family.codeword_codes(budget)
+        pairs = [tuple(codes[idx] for idx in np.triu_indices(count, 1))] * p.mu
+    else:
+        msgs = [_sampled_pair_messages(family, budget, seed, j) for j in range(1, p.mu + 1)]
+        sides = [side for pair in msgs for side in pair]
+        ends = np.cumsum([len(side) for side in sides])[:-1]
+        words = np.split(family.encode_batch(np.concatenate(sides)), ends)
+        pairs = list(zip(words[0::2], words[1::2]))
+    stacked = []
+    for (left, right), cols in zip(pairs, racks):
+        block = slice(cols.start, cols.stop)
+        stacked.append(_lifted_pairs(left[:, block], right[:, block], p.n, cols, p.q))
+    dists = 2 * gfq_rank_codes(np.concatenate(stacked), p.q, p.n + p.m) - 2 * p.s
+    blocks = np.split(dists, np.cumsum([len(rows) for rows in stacked])[:-1])
+    return LocalityReport(
+        r=p.r,
+        delta=p.delta,
+        blocks=tuple(
             BlockLocality(
                 block=j,
-                columns=tuple(range(cols.start, cols.stop)),
-                size_ok=size_ok,
+                columns=tuple(cols),
+                size_ok=len(cols) <= p.s,
+                # the projection of a lifted basis onto the block is the
+                # block's local codeword under distinct unit vectors of
+                # GF(q)^n, one per column, so it always keeps the full
+                # dimension: dim_ok holds by construction
                 dim_ok=True,
-                projected_distance=dist,
+                projected_distance=int(block.min()),
                 required_distance=2 * p.delta,
                 exact=exact,
             )
-        )
-    return LocalityReport(r=p.r, delta=p.delta, blocks=tuple(blocks))
+            for j, cols, block in zip(range(1, p.mu + 1), racks, blocks)
+        ),
+    )

@@ -7,8 +7,9 @@ linearized-polynomial evaluation by direct powering and root spaces by the
 rank of the polynomial's images, rack repair by the collapsed repair
 polynomial, nearest-codeword decoding by ranking the difference from every
 codeword, erasure decoding by one solve per stage on every word, GF(2)
-row reduction by whole-matrix masked XORs and linear solves through an
-explicit solve map, so tests compare two genuinely different computations.
+row reduction by whole-matrix masked XORs, linear solves through an
+explicit solve map and lifted block locality by one scan of each rack's own
+local code, so tests compare two genuinely different computations.
 """
 
 import functools
@@ -16,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rankloc import gf
+from rankloc import gf, subspace
 from rankloc.codes import DEFAULT_ORACLE_BUDGET
 from rankloc.crisscross import ErasureDecodeResult, crisscross_weight
 from rankloc.gf import Field, FieldSpec, gfq_rank_codes
 from rankloc.linpoly import LinearizedPoly
 from rankloc.rng import SplitMix64
-from rankloc.subspace import Subspace
+from rankloc.subspace import BlockLocality, LocalityReport, Subspace
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,6 +245,47 @@ def lifted_subspace(field, codes, n, cols):
     basis[list(cols), range(len(cols))] = 1
     basis[n:] = mat
     return Subspace.from_matrix(basis, field.q)
+
+
+def locality_per_block(code, budget=DEFAULT_ORACLE_BUDGET, seed=0):
+    """``verify_subspace_locality`` block by block on each rack's own local code.
+
+    Block j enumerates, or draws its pairs from, ``code.local_code(j)``,
+    encodes its own pairs and ranks them in a call of its own.  The pair
+    counts are read off ``subspace`` at call time, so a test that patches
+    them patches both routes.
+    """
+    p = code.params
+    blocks = []
+    for j in range(1, p.mu + 1):
+        cols = code.rack_columns(j)
+        local = code.local_code(j)
+        count = local.codeword_count
+        exact = count <= budget and count * (count - 1) // 2 <= subspace._EXACT_PAIRS
+        if exact:
+            codes = local.codeword_codes(budget)
+            left, right = (codes[idx] for idx in np.triu_indices(count, 1))
+        else:
+            pairs = subspace._SAMPLED_PAIRS
+            if count <= budget:
+                i, i2 = subspace._sample_pairs(SplitMix64(seed + j), count, pairs)
+                pair_msgs = local.messages_at(i), local.messages_at(i2)
+            else:
+                rng = SplitMix64(seed * 7919 + j)
+                drawn = rng.randbelow_array(np.full(pairs * local.k, code.field.order))
+                pool = drawn.astype(np.int64).reshape(pairs, local.k)
+                i, i2 = subspace._sample_pairs(SplitMix64(seed + j), pairs, pairs)
+                distinct = (pool[i] != pool[i2]).any(axis=1)
+                pair_msgs = pool[i[distinct]], pool[i2[distinct]]
+            left, right = (local.encode_batch(msgs) for msgs in pair_msgs)
+        dist = int(subspace._lifted_distances(left, right, p.n, cols, p.q, p.m).min())
+        blocks.append(
+            BlockLocality(
+                block=j, columns=tuple(cols), size_ok=len(cols) <= p.s, dim_ok=True,
+                projected_distance=dist, required_distance=2 * p.delta, exact=exact,
+            )
+        )
+    return LocalityReport(r=p.r, delta=p.delta, blocks=tuple(blocks))
 
 
 def staged_decode_oracle(code, received, erasures):

@@ -668,7 +668,7 @@ def test_sampled_out_of_memory_names_samples(ws, capsys, monkeypatch):
     def no_memory(code, samples, seed):
         raise MemoryError
 
-    monkeypatch.setattr(rankloc.cli, "sampled_min_rank", no_memory)
+    monkeypatch.setattr(rankloc.cli, "sampled_min_ranks", no_memory)
     code, out, err = run(
         capsys, "verify", "--spec", ws / "ref.spec", "--mode", "sampled",
         "--samples", "100000000000",

@@ -10,10 +10,12 @@ from rankloc.codes import (
     OracleBudgetError,
     build_code,
     min_rank_distance,
+    rack_min_ranks,
     rank_distance_bound,
     sampled_min_rank,
+    sampled_min_ranks,
 )
-from rankloc.gf import base_tables, gfq_matmul, gfq_rank, gfq_rank_batch
+from rankloc.gf import Field, FieldSpec, base_tables, gfq_matmul, gfq_rank, gfq_rank_batch
 from rankloc.rng import SplitMix64
 
 from helpers import (
@@ -346,11 +348,94 @@ def test_sampled_min_rank_is_upper_bound(tiny_code):
     assert sampled_min_rank(tiny_code, samples=2000, seed=1) == 4
 
 
+# ---------------------------------------------------------------------------
+# the rack family: every rack's local code in one code
+
+
+@pytest.fixture(scope="module")
+def family_codes(example2_code, tiny_code):
+    return {"example2": example2_code, "tiny": tiny_code, "ternary": build_code(3, 4, 4, 2, 1, 2)}
+
+
+@pytest.mark.parametrize("name", ["example2", "tiny", "ternary"])
+def test_rack_family_columns_are_local_encodes(family_codes, name):
+    code = family_codes[name]
+    p = code.params
+    family = code.rack_family()
+    assert family is code.rack_family()
+    assert (family.n, family.k) == (p.n, p.r)
+    assert family.codeword_count == code.local_code(1).codeword_count
+    rng = SplitMix64(2600)
+    msgs = rng.randbelow_array(np.full(200 * p.r, code.field.order)).astype(np.int64)
+    msgs = msgs.reshape(200, p.r)
+    words = family.encode_batch(msgs)
+    for j in range(1, p.mu + 1):
+        cols = code.rack_columns(j)
+        assert (words[:, cols.start : cols.stop] == code.local_code(j).encode_batch(msgs)).all()
+
+
+@pytest.mark.parametrize("name", ["example2", "tiny", "ternary"])
+def test_sampled_min_ranks_match_each_code(family_codes, name):
+    # one draw serves the code and every rack; r = 1 with 64 or 81 local
+    # messages puts all-zero rows among 300 draws, so the racks refill
+    code = family_codes[name]
+    p = code.params
+    refilled = 0
+    for seed in range(6):
+        d, local_ds = sampled_min_ranks(code, 300, seed)
+        assert d == sampled_min_rank(code, 300, seed)
+        assert local_ds == [
+            sampled_min_rank(code.local_code(j), 300, seed) for j in range(1, p.mu + 1)
+        ]
+        first = SplitMix64(seed).randbelow_array(np.full(300 * p.r, code.field.order))
+        refilled += not first.reshape(300, p.r).any(axis=1).all()
+    assert (refilled > 0) == (p.r == 1)
+
+
+def test_sampled_min_ranks_code_refill(tiny_code):
+    # 20000 rows of k = 2 symbols from GF(2^6) hold all-zero rows too
+    rows = SplitMix64(0).randbelow_array(np.full(40000, 64)).reshape(20000, 2)
+    assert not rows.any(axis=1).all()
+    d, local_ds = sampled_min_ranks(tiny_code, 20000, 0)
+    assert d == sampled_min_rank(tiny_code, 20000, 0) == 4
+    assert local_ds == [2, 2, 2]
+    with pytest.raises(ValueError, match="--samples must be at least 1"):
+        sampled_min_ranks(tiny_code, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["example2", "tiny", "ternary"])
+def test_rack_min_ranks_exact_match_local_codes(family_codes, name):
+    code = family_codes[name]
+    got = rack_min_ranks(code, code.rack_family().codeword_codes()[1:])
+    want = [min_rank_distance(code.local_code(j)) for j in range(1, code.params.mu + 1)]
+    assert got == want == [code.params.delta] * code.params.mu
+    # every local code has as many codewords as the family: same refusal
+    with pytest.raises(OracleBudgetError):
+        code.rack_family().codeword_codes(code.rack_family().codeword_count - 1)
+
+
 def test_build_code_rejects_bad_shapes():
     with pytest.raises(ValueError, match="r must divide k"):
         build_code(2, 9, 9, 3, 2, 2)
     with pytest.raises(ValueError, match="divide"):
         build_code(2, 9, 9, 4, 3, 3)
+
+
+@pytest.mark.parametrize("m", [4, 12])
+def test_build_code_refuses_a_pinned_field_before_the_tower(m, monkeypatch):
+    # GF(2^4) fails the tower's divisibility check, while GF(2^12) would
+    # build a whole tower before the code refused it: both are refused
+    # on the parameters alone
+    import rankloc.codes
+
+    def no_tower(*args, **kwargs):
+        raise AssertionError("tower built for a mismatched field")
+
+    monkeypatch.setattr(rankloc.codes, "tower_build", no_tower)
+    field = Field(FieldSpec.default(2, m))
+    refusal = rf"field GF\(2\^{m}\) does not match parameters GF\(2\^6\)"
+    with pytest.raises(ValueError, match=refusal):
+        build_code(2, 6, 6, 2, 1, 2, field=field)
 
 
 def test_build_code_default_tower_tiny(tiny_code):

@@ -279,6 +279,16 @@ def test_log_tables_refuse_a_non_primitive_base():
         f._build_log_tables()
 
 
+def test_log_tables_refuse_a_base_whose_powers_repeat():
+    # x^3 has order 5 in GF(2^4)^*: its powers repeat with period 5, and
+    # base^15 = 1 holds for it as for every nonzero element
+    f = Field(FieldSpec.default(2, 4))
+    f.omega = f.pow(f.x, 3)
+    assert f.element_order(f.omega) == 5
+    with pytest.raises(ValueError, match="not primitive"):
+        f._build_log_tables()
+
+
 def _order_by_powers(f, a):
     # multiplicative order of a nonzero a, one schoolbook multiply per power
     v, order = a, 1

@@ -21,7 +21,7 @@ from rankloc.subspace import (
     verify_subspace_locality,
 )
 
-from helpers import lifted_subspace, rand_matrix
+from helpers import lifted_subspace, locality_per_block, rand_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,49 @@ def test_locality_over_budget_leaves_out_equal_messages(tiny_code):
     report = verify_subspace_locality(tiny_code, budget=10)
     assert not report.exact and report.passed
     assert [b.projected_distance for b in report.blocks] == [4, 4, 4]
+
+
+@pytest.fixture(scope="module")
+def ternary_code():
+    return build_code(3, 4, 4, 2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "name, budget, seed, exact_pairs, sampled_pairs",
+    [
+        # every block scanned exhaustively
+        ("tiny", None, 0, None, None),
+        ("ternary", None, 0, None, None),
+        # within budget but past the pair limit: pairs of enumerated codewords
+        ("tiny", None, 3, 10, None),
+        ("ternary", None, 4, 10, None),
+        ("example2", None, 1, None, None),
+        # past --budget: pairs from a pool of random messages
+        ("tiny", 10, 2, None, None),
+        ("ternary", 50, 5, None, None),
+        ("example2", 1000, 2, None, None),
+        # a few pairs, so the blocks' minima differ and name their pairs
+        ("example2", None, 13, None, 6),
+        ("example2", 1000, 13, None, 10),
+        ("example2", 1000, 15, None, 10),
+    ],
+)
+def test_locality_matches_per_block_oracle(
+    name, budget, seed, exact_pairs, sampled_pairs, request, monkeypatch
+):
+    # one family encode and one rank call for all blocks give each block's
+    # verdict of its own local code, scanned on its own
+    code = request.getfixturevalue(f"{name}_code")
+    if exact_pairs is not None:
+        monkeypatch.setattr(subspace, "_EXACT_PAIRS", exact_pairs)
+    if sampled_pairs is not None:
+        monkeypatch.setattr(subspace, "_SAMPLED_PAIRS", sampled_pairs)
+    kwargs = {"seed": seed} if budget is None else {"budget": budget, "seed": seed}
+    report = verify_subspace_locality(code, **kwargs)
+    assert report == locality_per_block(code, **kwargs)
+    assert report.exact == (budget is None and exact_pairs is None and name != "example2")
+    if sampled_pairs is not None:
+        assert len({b.projected_distance for b in report.blocks}) > 1
 
 
 def test_locality_rejects_plain_codes(tiny_code):
